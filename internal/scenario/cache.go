@@ -18,20 +18,20 @@ import (
 // silently starts a fresh keyspace instead of serving stale numbers.
 //
 // Entries live in the local directory Dir, or — when Addr is set — in a
-// shared remote store speaking GET/PUT over the same frame codec the
+// shared remote store speaking GET/PUT in the same binary frames the
 // shard workers use (ServeStore), so a whole fleet fills one cache. The
 // remote store is an optimization, never a dependency: on any store
 // outage the process degrades to Dir for the rest of its life, counting
 // the outage in Stats, and the run completes on recomputed (and locally
 // cached) results.
 //
-// Layout: <root>/<code-digest>/<spec-name>-<params-digest>/seed<N>.json —
-// identical locally and remotely, so a store directory can be seeded
-// from, or inspected as, an ordinary cache dir. Wiping the cache is
-// `rm -rf`; old code versions are just dead subtrees. Because the codec
-// round-trips bit-exactly and emission stays in seed order, a warm run's
-// aggregate is bit-identical to a cold run's — the cross-backend
-// equivalence test pins exactly that.
+// Layout: <root>/<code-digest>/<spec-name>-<params-digest>/seed<N>.bin,
+// one binary-codec Result per file — identical locally and remotely, so
+// a store directory can be seeded from, or inspected as, an ordinary
+// cache dir. Wiping the cache is `rm -rf`; old code versions are just
+// dead subtrees. Because the codec round-trips bit-exactly and emission
+// stays in seed order, a warm run's aggregate is bit-identical to a cold
+// run's — the cross-backend equivalence test pins exactly that.
 //
 // Kernel tuning (Spec.Tuning) is deliberately not part of the key: every
 // tuning produces the identical event order (the reference-model test
@@ -90,7 +90,7 @@ func (c *Cache) entries() entryStore {
 			c.st = disk
 			return
 		}
-		c.st = &remoteStore{addr: c.Addr, fallback: disk, outages: &c.outages}
+		c.st = &remoteStore{addr: c.Addr, fallback: disk, outages: &c.outages, dec: newResultDecoder()}
 	})
 	return c.st
 }
@@ -187,17 +187,7 @@ func (c *Cache) Close() error {
 // collide; the leading component keys the whole space by code version.
 func entryRel(spec Spec, seed int64) string {
 	sum := sha256.Sum256([]byte(spec.Name + "\x00" + spec.Params))
-	return fmt.Sprintf("%s/%s-%x/seed%d.json", CodeVersion()[:16], spec.Name, sum[:6], seed)
-}
-
-// specDir is the local directory holding one spec's entries for the
-// running code version.
-func (c *Cache) specDir(spec Spec) string {
-	return filepath.Dir(diskStore{root: c.Dir}.path(entryRel(spec, 0)))
-}
-
-func seedPath(dir string, seed int64) string {
-	return filepath.Join(dir, fmt.Sprintf("seed%d.json", seed))
+	return fmt.Sprintf("%s/%s-%x/seed%d.bin", CodeVersion()[:16], spec.Name, sum[:6], seed)
 }
 
 // diskStore is the local-directory entry store.

@@ -1,13 +1,10 @@
 package scenario
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"testing"
 )
 
@@ -135,35 +132,53 @@ func TestCacheKeySeparatesParamsAndSpecs(t *testing.T) {
 	}
 }
 
+// TestCacheCorruptEntryIsAMiss: an entry that does not decode — torn
+// bytes, or the JSON document older builds wrote — is a miss, recomputed
+// and overwritten with a binary entry.
 func TestCacheCorruptEntryIsAMiss(t *testing.T) {
-	dir := t.TempDir()
-	spec := cacheSpec()
-	c := &Cache{Inner: &Local{Parallel: 1}, Dir: dir}
-	mustRun(t, &Runner{Executor: c}, []Spec{spec}, []int64{3})
+	for name, planted := range map[string]string{
+		"torn": "{torn",
+		"json": `{"name":"test-cache","table":"cache table","values":[` +
+			`{"name":"seed","bits":"4008000000000000","human":"3"}]}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			spec := cacheSpec()
+			c := &Cache{Inner: &Local{Parallel: 1}, Dir: dir}
+			mustRun(t, &Runner{Executor: c}, []Spec{spec}, []int64{3})
 
-	// Truncate every cache file to garbage.
-	var files []string
-	filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() {
-			files = append(files, path)
-		}
-		return nil
-	})
-	if len(files) != 1 {
-		t.Fatalf("expected 1 cache file, found %v", files)
-	}
-	if err := os.WriteFile(files[0], []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+			// Overwrite every cache file with the planted bytes.
+			var files []string
+			filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+				if err == nil && !info.IsDir() {
+					files = append(files, path)
+				}
+				return nil
+			})
+			if len(files) != 1 {
+				t.Fatalf("expected 1 cache file, found %v", files)
+			}
+			if err := os.WriteFile(files[0], []byte(planted), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	inner := &countingExecutor{Local: Local{Parallel: 1}}
-	again := &Cache{Inner: inner, Dir: dir}
-	aggs := mustRun(t, &Runner{Executor: again}, []Spec{spec}, []int64{3})
-	if len(inner.computed) != 1 {
-		t.Errorf("corrupt entry was not recomputed: %v", inner.computed)
-	}
-	if got := aggs[0].Metrics[1].Mean; got != 3 {
-		t.Errorf("recomputed value %v, want 3", got)
+			inner := &countingExecutor{Local: Local{Parallel: 1}}
+			again := &Cache{Inner: inner, Dir: dir}
+			aggs := mustRun(t, &Runner{Executor: again}, []Spec{spec}, []int64{3})
+			if len(inner.computed) != 1 {
+				t.Errorf("corrupt entry was not recomputed: %v", inner.computed)
+			}
+			if got := aggs[0].Metrics[1].Mean; got != 3 {
+				t.Errorf("recomputed value %v, want 3", got)
+			}
+			data, err := os.ReadFile(files[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res, err := DecodeResult(data); err != nil || res.Values["seed"] != 3 {
+				t.Errorf("corrupt entry not overwritten with a binary one: %+v, %v", res, err)
+			}
+		})
 	}
 }
 
@@ -185,88 +200,6 @@ func TestCacheRoundTripsHostileFloats(t *testing.T) {
 	for k := range av {
 		if math.Float64bits(av[k]) != math.Float64bits(bv[k]) {
 			t.Errorf("%s: %#x vs %#x", k, math.Float64bits(av[k]), math.Float64bits(bv[k]))
-		}
-	}
-}
-
-// legacyJSONEntry renders a Result in the pre-binary cache entry format
-// (a wireResult JSON document with hex Float64bits), byte-compatible with
-// what older builds wrote to disk.
-func legacyJSONEntry(t *testing.T, res Result) []byte {
-	t.Helper()
-	wr := wireResult{Name: res.Name, Table: res.Table}
-	names := make([]string, 0, len(res.Values))
-	for k := range res.Values {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		v := res.Values[k]
-		wr.Values = append(wr.Values, wireValue{
-			Name:  k,
-			Bits:  fmt.Sprintf("%016x", math.Float64bits(v)),
-			Human: fmt.Sprintf("%g", v),
-		})
-	}
-	data, err := json.Marshal(wr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-// TestCacheLegacyJSONEntriesWarmHit: a cache directory populated by an
-// older build (JSON entries) must warm-hit under the binary codec —
-// DecodeResult sniffs per entry, so switching codecs never invalidates a
-// cache or forces recomputation.
-func TestCacheLegacyJSONEntriesWarmHit(t *testing.T) {
-	dir := t.TempDir()
-	spec := cacheSpec()
-	seeds := []int64{1, 2, 3}
-	hostile := Result{
-		Name:  "test-cache",
-		Table: "cache table",
-		Values: map[string]float64{
-			"nan":     math.NaN(),
-			"negzero": math.Copysign(0, -1),
-			"seed":    7,
-		},
-	}
-
-	store := diskStore{root: dir}
-	for _, seed := range seeds {
-		res := spec.Run(seed)
-		if seed == 3 {
-			res = hostile // one entry carrying the specials the hex form encodes
-		}
-		path := store.path(entryRel(spec, seed))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, legacyJSONEntry(t, res), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	warm := &Cache{Inner: FailExecutor("legacy entry missed"), Dir: dir}
-	aggs := mustRun(t, &Runner{KeepPerSeed: true, Executor: warm}, []Spec{spec}, seeds)
-	if s := warm.Stats(); s.Hits != int64(len(seeds)) || s.Misses != 0 {
-		t.Fatalf("legacy warm stats %+v, want %d hits / 0 misses", s, len(seeds))
-	}
-	for i, seed := range seeds {
-		want := spec.Run(seed)
-		if seed == 3 {
-			want = hostile
-		}
-		got := aggs[0].PerSeed[i]
-		if got.Name != want.Name || got.Table != want.Table || len(got.Values) != len(want.Values) {
-			t.Fatalf("seed %d: legacy entry decoded as %+v, want %+v", seed, got, want)
-		}
-		for k, v := range want.Values {
-			if math.Float64bits(got.Values[k]) != math.Float64bits(v) {
-				t.Errorf("seed %d %s: %#x, want %#x", seed, k,
-					math.Float64bits(got.Values[k]), math.Float64bits(v))
-			}
 		}
 	}
 }

@@ -30,10 +30,12 @@ import (
 // the listener — a dropped or blackholed connection's replacement is the
 // next generation, exactly like a crashed subprocess's restart.
 //
-// The first six verbs are the process faults stdio workers inject; the
-// network verbs (drop-conn-after, blackhole-after, slowlink-ms,
-// replay-after) apply to TCP sessions and are ignored by stdio workers,
-// whose transport cannot express them.
+// Both transports run the same worker session loop, which holds every
+// hook; each entry point masks the schedule to the verbs its transport can
+// express. The process verbs (crash-after, hang-after, corrupt-after,
+// trunc-after) apply to stdio workers only, the network verbs
+// (drop-conn-after, blackhole-after, slowlink-ms, replay-after) to TCP
+// sessions only, and delay-every to both.
 type Chaos struct {
 	CrashAfter    int           // exit(3) when asked for seed N, before responding
 	HangAfter     int           // sleep HangFor before responding to seed N
@@ -56,6 +58,18 @@ func (c Chaos) active() bool {
 	return c.CrashAfter > 0 || c.HangAfter > 0 || c.CorruptAfter > 0 ||
 		c.TruncateAfter > 0 || c.DelayEvery > 0 ||
 		c.DropConnAfter > 0 || c.BlackholeAfter > 0 || c.SlowLink > 0 || c.ReplayAfter > 0
+}
+
+// processVerbs masks c to the faults a stdio worker injects (ServeWorker).
+func (c Chaos) processVerbs() Chaos {
+	c.DropConnAfter, c.BlackholeAfter, c.SlowLink, c.ReplayAfter = 0, 0, 0, 0
+	return c
+}
+
+// networkVerbs masks c to the faults a TCP worker session injects (ServeNet).
+func (c Chaos) networkVerbs() Chaos {
+	c.CrashAfter, c.HangAfter, c.CorruptAfter, c.TruncateAfter = 0, 0, 0, 0
+	return c
 }
 
 // Environment variables of the shard worker protocol. The parent sets all

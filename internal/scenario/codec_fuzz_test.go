@@ -10,16 +10,16 @@ import (
 )
 
 // FuzzDecodeFrame fuzzes the codec layers every transport shares — the
-// length-prefixed frame reader, the frame-payload parsers for both
-// directions, and the binary Result codec — with the totality contract
-// the supervisor depends on: any mutation of the byte stream yields
-// ErrDecode (corruption, including a version-byte mismatch) or
-// io.EOF/io.ErrUnexpectedEOF (truncation), a zero Result, and never a
+// length-prefixed frame reader, the worker and result-store frame-payload
+// parsers for both directions, and the binary Result codec — with the
+// totality contract the supervisor depends on: any mutation of the byte
+// stream yields ErrDecode (corruption, including a version-byte mismatch)
+// or io.EOF/io.ErrUnexpectedEOF (truncation), a zero Result, and never a
 // panic or a partially decoded value surfacing as data.
 func FuzzDecodeFrame(f *testing.F) {
 	// Seed corpus: the codec_test.go shapes — hostile floats, empty values,
 	// framed streams, version skew, truncations, garbage, an oversized
-	// header — plus a legacy JSON document for the back-compat path.
+	// header — plus a JSON document of the pre-binary result form.
 	hostile := Result{
 		Name:  "hostile",
 		Table: "t",
@@ -59,8 +59,21 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte("chaos! not a frame {{{"))          // garbage
 	f.Add(append([]byte{0xff, 0xff, 0xff, 0xff}, 1)) // oversized header
 
+	// Result-store frames: a get, a put, the found/miss/error replies,
+	// truncations, and a JSON-framed request.
+	f.Add(append([]byte(nil), fs.storeGetFrame("v1/spec-000000/seed1.bin")...))
+	put := append([]byte(nil), fs.storePutFrame("v1/spec-000000/seed1.bin", hostile)...)
+	f.Add(put)
+	f.Add(put[:len(put)-5])
+	found := append([]byte(nil), fs.storeFoundFrame(hostile)...)
+	f.Add(found)
+	f.Add(found[:9])
+	f.Add(append(append([]byte(nil), fs.storeOKFrame()...), fs.storeErrorFrame("bad key")...))
+	jsonReq := `{"op":"get","key":"a/b.bin"}`
+	f.Add(append(binary.BigEndian.AppendUint32(nil, uint32(len(jsonReq))), jsonReq...))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Result codec (binary + legacy JSON): total, loud, all-or-nothing.
+		// Result codec: total, loud, all-or-nothing.
 		if res, err := DecodeResult(data); err != nil {
 			if !errors.Is(err, ErrDecode) {
 				t.Errorf("DecodeResult error %v does not wrap ErrDecode", err)
@@ -103,6 +116,22 @@ func FuzzDecodeFrame(f *testing.F) {
 			// Request direction: the worker-side parser must be just as total.
 			if _, err := parseWireRequest(payload, nil); err != nil && !errors.Is(err, ErrDecode) {
 				t.Errorf("parseWireRequest error %v does not wrap ErrDecode", err)
+			}
+			// Store frames, both directions; an embedded Result (put, found)
+			// must itself decode totally.
+			for _, parse := range []func([]byte) (storeMsg, error){parseStoreRequest, parseStoreReply} {
+				m, err := parse(payload)
+				if err != nil {
+					if !errors.Is(err, ErrDecode) {
+						t.Errorf("store frame parse error %v does not wrap ErrDecode", err)
+					}
+					continue
+				}
+				if m.result != nil {
+					if res, derr := DecodeResult(m.result); derr != nil && (!errors.Is(derr, ErrDecode) || res.Values != nil) {
+						t.Errorf("embedded store Result error %v (leaked %+v)", derr, res)
+					}
+				}
 			}
 		}
 	})

@@ -84,65 +84,41 @@ func TestCodecDeterministicBytes(t *testing.T) {
 	}
 }
 
-// TestDecodeLegacyJSON pins cache back-compat at the codec level:
-// DecodeResult still reads the hex-bits JSON documents every build
-// through PR 8 wrote, bit-exactly.
-func TestDecodeLegacyJSON(t *testing.T) {
-	legacy := `{"name":"legacy","table":"t\n","values":[` +
-		`{"name":"nan","bits":"7ff8000000000001","human":"NaN"},` +
-		`{"name":"negzero","bits":"8000000000000000","human":"-0"},` +
-		`{"name":"pi","bits":"400921fb54442d18","human":"3.141592653589793"}]}`
-	res, err := DecodeResult([]byte(legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Name != "legacy" || res.Table != "t\n" || len(res.Values) != 3 {
-		t.Fatalf("legacy decode = %+v", res)
-	}
-	if !math.IsNaN(res.Values["nan"]) {
-		t.Errorf("nan = %v", res.Values["nan"])
-	}
-	if math.Float64bits(res.Values["negzero"]) != 0x8000000000000000 {
-		t.Errorf("negzero bits = %#x", math.Float64bits(res.Values["negzero"]))
-	}
-	if res.Values["pi"] != math.Pi {
-		t.Errorf("pi = %v", res.Values["pi"])
-	}
-}
-
+// TestDecodeRejectsGarbage: garbage and the JSON documents older builds
+// wrote are all ErrDecode — the binary codec is the only result form.
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := DecodeResult([]byte("not json")); err == nil {
-		t.Error("garbage JSON accepted")
-	}
-	if _, err := DecodeResult([]byte(`{"name":"x","values":[{"name":"v","bits":"zz"}]}`)); err == nil {
-		t.Error("bad bit pattern accepted")
+	for _, in := range []string{
+		"not json",
+		`{"name":"x","values":[{"name":"v","bits":"zz"}]}`,
+		`{"name":"legacy","table":"t\n","values":[{"name":"pi","bits":"400921fb54442d18","human":"3.141592653589793"}]}`,
+	} {
+		if _, err := DecodeResult([]byte(in)); !errors.Is(err, ErrDecode) {
+			t.Errorf("DecodeResult(%q): err = %v, want ErrDecode", in, err)
+		}
 	}
 }
 
 // TestDecodeErrorsAreLoudAndTotal pins the codec error contract the
 // supervisor's decode detector depends on: truncated encodings, version
-// skew, trailing garbage, oversized length prefixes and malformed legacy
-// JSON all fail with an error the caller can classify via
+// skew, trailing garbage, oversized length prefixes and JSON documents
+// all fail with an error the caller can classify via
 // errors.Is(err, ErrDecode) where the stream (not the transport) is at
 // fault — and the failed decode returns the zero Result, never a partial
 // one.
 func TestDecodeErrorsAreLoudAndTotal(t *testing.T) {
-	// Garbage-hex bits inside otherwise valid legacy JSON: ErrDecode, zero
-	// Result even though the first value was decodable.
-	res, err := DecodeResult([]byte(`{"name":"x","table":"t","values":[` +
-		`{"name":"good","bits":"3ff0000000000000"},{"name":"bad","bits":"zz"}]}`))
-	if !errors.Is(err, ErrDecode) {
-		t.Errorf("garbage bits: err = %v, want ErrDecode", err)
-	}
-	if res.Name != "" || res.Table != "" || res.Values != nil {
-		t.Errorf("partial Result leaked from failed decode: %+v", res)
-	}
-
-	// Non-JSON, non-binary payload: ErrDecode.
-	if res, err = DecodeResult([]byte("chaos! not json")); !errors.Is(err, ErrDecode) {
-		t.Errorf("non-JSON payload: err = %v, want ErrDecode", err)
-	} else if res.Name != "" || res.Table != "" || res.Values != nil {
-		t.Errorf("partial Result from non-JSON payload: %+v", res)
+	// A JSON document of the pre-binary form, and a non-JSON, non-binary
+	// payload: ErrDecode and the zero Result.
+	for _, in := range []string{
+		`{"name":"x","table":"t","values":[{"name":"good","bits":"3ff0000000000000"}]}`,
+		"chaos! not json",
+	} {
+		res, err := DecodeResult([]byte(in))
+		if !errors.Is(err, ErrDecode) {
+			t.Errorf("DecodeResult(%q): err = %v, want ErrDecode", in, err)
+		}
+		if res.Name != "" || res.Table != "" || res.Values != nil {
+			t.Errorf("partial Result leaked from failed decode of %q: %+v", in, res)
+		}
 	}
 
 	// Every proper prefix of a binary encoding is a truncation: ErrDecode,
@@ -219,8 +195,8 @@ func TestDecodeErrorsAreLoudAndTotal(t *testing.T) {
 
 // TestFrameRoundTrip checks the binary framing layer: request frames,
 // per-seed response frames, hello/heartbeat, clean EOF at a boundary vs.
-// truncation inside a frame — plus the JSON framing the store protocol
-// still speaks.
+// truncation inside a frame — plus the result-store frames of both
+// directions.
 func TestFrameRoundTrip(t *testing.T) {
 	var fs frameScratch
 	var stream bytes.Buffer
@@ -288,18 +264,58 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Errorf("truncated frame: %v, want unexpected-EOF error", err)
 	}
 
-	// The store protocol still frames JSON: round-trip one request.
-	var jbuf bytes.Buffer
-	want := storeRequest{Op: "get", Key: "a/b.json"}
-	if err := writeFrame(&jbuf, want); err != nil {
-		t.Fatal(err)
+	// Store frames, both directions. Every proper prefix of a payload fails
+	// with ErrDecode — from the frame parser, or from the embedded Result.
+	type storeCase struct {
+		frame []byte
+		parse func([]byte) (storeMsg, error)
+		check func(storeMsg) bool
 	}
-	var gotReq storeRequest
-	if err := readFrame(&jbuf, &gotReq); err != nil {
-		t.Fatal(err)
+	own := func(frame []byte) []byte { return append([]byte(nil), frame...) } // fs reuses its buffer
+	hasResult := func(m storeMsg) bool {
+		got, err := DecodeResult(m.result)
+		return err == nil && got.Name == "r" && math.IsNaN(got.Values["nan"])
 	}
-	if gotReq.Op != want.Op || gotReq.Key != want.Key {
-		t.Errorf("JSON frame round trip = %+v, want %+v", gotReq, want)
+	for _, c := range []storeCase{
+		{own(fs.storeGetFrame("a/b.bin")), parseStoreRequest, func(m storeMsg) bool {
+			return m.ftype == frameStoreGet && string(m.key) == "a/b.bin" && m.result == nil
+		}},
+		{own(fs.storePutFrame("a/c.bin", res)), parseStoreRequest, func(m storeMsg) bool {
+			return m.ftype == frameStorePut && string(m.key) == "a/c.bin" && hasResult(m)
+		}},
+		{own(fs.storeFoundFrame(res)), parseStoreReply, func(m storeMsg) bool {
+			return m.ftype == frameStoreFound && hasResult(m)
+		}},
+		{own(fs.storeOKFrame()), parseStoreReply, func(m storeMsg) bool {
+			return m.ftype == frameStoreOK && m.result == nil && m.errMsg == nil
+		}},
+		{own(fs.storeErrorFrame("nope")), parseStoreReply, func(m storeMsg) bool {
+			return m.ftype == frameStoreError && string(m.errMsg) == "nope"
+		}},
+	} {
+		p, err := readRawFrame(bytes.NewReader(c.frame), &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, err := c.parse(p); err != nil || !c.check(m) {
+			t.Fatalf("store frame %#x = %+v, %v", p[0], m, err)
+		}
+		for i := 0; i < len(p); i++ {
+			m, err := c.parse(p[:i])
+			if err == nil && m.result != nil {
+				_, err = DecodeResult(m.result)
+			}
+			if !errors.Is(err, ErrDecode) {
+				t.Fatalf("store frame %#x truncated to %d: err = %v, want ErrDecode", p[0], i, err)
+			}
+		}
+	}
+	// A frame of one direction is not a message of the other.
+	if _, err := parseStoreReply(fs.storeGetFrame("k")[4:]); !errors.Is(err, ErrDecode) {
+		t.Errorf("get frame parsed as a reply: %v", err)
+	}
+	if _, err := parseStoreRequest(fs.storeOKFrame()[4:]); !errors.Is(err, ErrDecode) {
+		t.Errorf("ok frame parsed as a request: %v", err)
 	}
 }
 

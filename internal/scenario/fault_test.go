@@ -392,7 +392,7 @@ func TestCacheCountsWriteErrors(t *testing.T) {
 	// store fails while every Result still flows. Works at any uid, unlike
 	// chmod tricks.
 	for _, seed := range seeds {
-		if err := os.MkdirAll(seedPath(c.specDir(spec), seed), 0o755); err != nil {
+		if err := os.MkdirAll(diskStore{root: dir}.path(entryRel(spec, seed)), 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}

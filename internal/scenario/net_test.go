@@ -74,17 +74,24 @@ func runCounted(t *testing.T, sh *Shard, seeds []int64) {
 	}
 }
 
+// TestNetShardMatchesLocalClean runs clean and under process chaos verbs,
+// which a TCP session must ignore: a leaked crash or truncation would
+// os.Exit the test binary, a leaked corruption would count a failure.
 func TestNetShardMatchesLocalClean(t *testing.T) {
-	addr := startNetServer(t, NetServeOptions{})
-	sh := netShard(2, addr, nil)
-	defer sh.Close()
-	requireShardMatchesLocal(t, sh, Seeds(1, 16))
-	h := sh.Health()
-	if h.Failures() != 0 || h.Retries != 0 || h.Quarantined != 0 || h.Stales() != 0 || h.StaleReplies != 0 {
-		t.Errorf("clean TCP run should have all-zero failure counters: %s", h)
-	}
-	if h.Chunks() == 0 {
-		t.Error("no chunks recorded — did the TCP transport actually run?")
+	for _, chaos := range []string{"", "crash-after=1,trunc-after=1", "corrupt-after=1"} {
+		t.Run("chaos="+chaos, func(t *testing.T) {
+			addr := startNetServer(t, NetServeOptions{ChaosSpec: chaos})
+			sh := netShard(2, addr, nil)
+			defer sh.Close()
+			requireShardMatchesLocal(t, sh, Seeds(1, 16))
+			h := sh.Health()
+			if h.Failures() != 0 || h.Retries != 0 || h.Quarantined != 0 || h.Stales() != 0 || h.StaleReplies != 0 {
+				t.Errorf("clean TCP run should have all-zero failure counters: %s", h)
+			}
+			if h.Chunks() == 0 {
+				t.Error("no chunks recorded — did the TCP transport actually run?")
+			}
+		})
 	}
 }
 

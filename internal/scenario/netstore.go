@@ -15,31 +15,17 @@ import (
 
 // The shared remote result store: cache.go's content-addressed entry
 // space lifted onto TCP so a whole worker fleet fills one cache. The
-// protocol is GET/PUT over the same length-prefixed frame codec the shard
-// workers speak; keys are the same entryRel paths the local layout uses
-// (code-version digest and all), so remote entries are exactly as
-// collision-safe and staleness-safe as local ones, and a store directory
-// is interchangeable with a cache directory.
+// protocol is GET/PUT in the same binary frames the shard workers speak
+// (frameStore* in codec.go): one request frame, one reply frame. Keys are
+// the same entryRel paths the local layout uses (code-version digest and
+// all), so remote entries are exactly as collision-safe and
+// staleness-safe as local ones, and a store directory is interchangeable
+// with a cache directory.
 
 // storeTimeout bounds one store operation end to end (dial, frame write,
 // frame read). The store is an optimization: a slow store is an outage,
 // and outages degrade to the local dir rather than stall the sweep.
 const storeTimeout = 5 * time.Second
-
-// storeRequest is one client→store operation.
-type storeRequest struct {
-	Op   string `json:"op"`             // "get" | "put"
-	Key  string `json:"key"`            // entryRel-shaped relative path
-	Data []byte `json:"data,omitempty"` // put: EncodeResult bytes
-}
-
-// storeResponse answers one operation. A get for an absent entry is
-// Found=false with no Err — absence is a cache miss, not a failure.
-type storeResponse struct {
-	Found bool   `json:"found,omitempty"` // get: entry exists; Data carries it
-	Data  []byte `json:"data,omitempty"`  // get: EncodeResult bytes
-	Err   string `json:"err,omitempty"`   // per-request error (bad key, undecodable put, failed write)
-}
 
 // ServeStore serves the result-store protocol on ln, backed by dir (the
 // same on-disk layout as a local Cache), until the listener closes. Every
@@ -70,37 +56,41 @@ func ListenAndServeStore(addr, dir string) error {
 	return ServeStore(ln, dir)
 }
 
+// serveStoreConn answers store requests until the client closes the
+// connection or sends a frame that is not a store request.
 func serveStoreConn(conn net.Conn, disk diskStore) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
+	var inbuf []byte
+	var fs frameScratch
 	for {
-		var req storeRequest
-		if err := readFrame(br, &req); err != nil {
+		payload, err := readRawFrame(br, &inbuf)
+		if err != nil {
 			return
 		}
-		var resp storeResponse
+		req, err := parseStoreRequest(payload)
+		if err != nil {
+			return
+		}
+		key := string(req.key)
+		reply := fs.storeOKFrame()
 		switch {
-		case !validStoreKey(req.Key):
-			resp.Err = fmt.Sprintf("bad key %q", req.Key)
-		case req.Op == "get":
-			if res, ok := disk.load(req.Key); ok {
-				data, err := EncodeResult(res)
-				if err == nil {
-					resp.Found, resp.Data = true, data
-				}
+		case !validStoreKey(key):
+			reply = fs.storeErrorFrame(fmt.Sprintf("bad key %q", key))
+		case req.ftype == frameStoreGet:
+			if res, ok := disk.load(key); ok {
+				reply = fs.storeFoundFrame(res)
 			}
-		case req.Op == "put":
-			res, err := DecodeResult(req.Data)
+		default: // frameStorePut
+			res, err := DecodeResult(req.result)
 			if err == nil {
-				err = disk.store(req.Key, res)
+				err = disk.store(key, res)
 			}
 			if err != nil {
-				resp.Err = err.Error()
+				reply = fs.storeErrorFrame(err.Error())
 			}
-		default:
-			resp.Err = fmt.Sprintf("unknown op %q", req.Op)
 		}
-		if err := writeFrame(conn, resp); err != nil {
+		if _, err := conn.Write(reply); err != nil {
 			return
 		}
 	}
@@ -122,78 +112,82 @@ func validStoreKey(key string) bool {
 }
 
 // remoteStore is the client side: an entryStore over one lazily dialed,
-// mutex-serialized connection. The first transport failure latches the
-// store down for the rest of the process — counted as an outage — and
-// every subsequent operation goes to the local fallback dir, so a store
-// outage costs hits, never correctness and never a stalled sweep.
+// mutex-serialized connection. The first transport failure — a malformed
+// reply included — latches the store down for the rest of the process,
+// counted as an outage, and every subsequent operation goes to the local
+// fallback dir, so a store outage costs hits, never correctness and never
+// a stalled sweep.
 type remoteStore struct {
 	addr     string
 	fallback diskStore
 	outages  *atomic.Int64
 
-	mu   sync.Mutex
-	conn net.Conn
-	br   *bufio.Reader
-	down bool
+	mu    sync.Mutex
+	conn  net.Conn
+	br    *bufio.Reader
+	fs    frameScratch
+	inbuf []byte
+	dec   *resultDecoder
+	down  bool
 }
 
 func (r *remoteStore) load(rel string) (Result, bool) {
-	resp, ok := r.exchange(storeRequest{Op: "get", Key: rel})
+	r.mu.Lock()
+	reply, ok := r.exchange(r.fs.storeGetFrame(rel))
+	var res Result
+	// A miss, a refused key and a corrupt entry are all misses, mirroring
+	// diskStore.
+	found := ok && reply.ftype == frameStoreFound && r.dec.decode(reply.result, &res, false) == nil
+	r.mu.Unlock()
 	if !ok {
 		return r.fallback.load(rel)
 	}
-	if !resp.Found {
-		return Result{}, false // healthy store, genuine miss
-	}
-	res, err := DecodeResult(resp.Data)
-	if err != nil {
-		return Result{}, false // corrupt entry is a miss, mirroring diskStore
-	}
-	return res, true
+	return res, found
 }
 
 func (r *remoteStore) store(rel string, res Result) error {
-	data, err := EncodeResult(res)
-	if err != nil {
-		return err
+	r.mu.Lock()
+	reply, ok := r.exchange(r.fs.storePutFrame(rel, res))
+	var err error
+	if ok && reply.ftype == frameStoreError {
+		err = fmt.Errorf("store: %s", reply.errMsg)
 	}
-	resp, ok := r.exchange(storeRequest{Op: "put", Key: rel, Data: data})
+	r.mu.Unlock()
 	if !ok {
 		return r.fallback.store(rel, res)
 	}
-	if resp.Err != "" {
-		return fmt.Errorf("store: %s", resp.Err)
-	}
-	return nil
+	return err
 }
 
-// exchange performs one store round trip; ok=false means the store is
+// exchange performs one store round trip with r.mu held; the reply
+// aliases r.inbuf until the next exchange. ok=false means the store is
 // (now) down and the caller must use the fallback.
-func (r *remoteStore) exchange(req storeRequest) (storeResponse, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+func (r *remoteStore) exchange(frame []byte) (storeMsg, bool) {
 	if r.down {
-		return storeResponse{}, false
+		return storeMsg{}, false
 	}
 	if r.conn == nil {
 		conn, err := net.DialTimeout("tcp", r.addr, storeTimeout)
 		if err != nil {
 			r.fail(err)
-			return storeResponse{}, false
+			return storeMsg{}, false
 		}
 		r.conn, r.br = conn, bufio.NewReader(conn)
 	}
 	r.conn.SetDeadline(time.Now().Add(storeTimeout))
-	if err := writeFrame(r.conn, req); err != nil {
+	if _, err := r.conn.Write(frame); err != nil {
 		r.fail(err)
-		return storeResponse{}, false
+		return storeMsg{}, false
 	}
-	var resp storeResponse
-	if err := readFrame(r.br, &resp); err != nil {
-		r.fail(err)
-		return storeResponse{}, false
+	payload, err := readRawFrame(r.br, &r.inbuf)
+	if err == nil {
+		var reply storeMsg
+		if reply, err = parseStoreReply(payload); err == nil {
+			return reply, true
+		}
 	}
-	return resp, true
+	r.fail(err)
+	return storeMsg{}, false
 }
 
 // fail latches the store down after a transport error.

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bufio"
+	"encoding/binary"
+	"io"
 	"math"
 	"net"
 	"reflect"
@@ -54,79 +56,141 @@ func TestRemoteStoreColdThenWarm(t *testing.T) {
 }
 
 // TestStoreOutageDegradesToLocalDir is the store-outage acceptance test:
-// with the store unreachable the run must complete on recomputed results,
-// count the outage and the misses, and leave the local fallback dir warm
-// enough that a later run hits without the store.
+// with the store unreachable — or answering in anything but store frames,
+// like a peer still speaking the JSON framing of older builds — the run
+// must complete on recomputed results, count exactly one (latched)
+// outage and the misses, and leave the local fallback dir warm enough
+// that a later run hits without the store.
 func TestStoreOutageDegradesToLocalDir(t *testing.T) {
+	for name, addr := range map[string]string{"unreachable": deadStoreAddr(t), "json peer": jsonStoreAddr(t)} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			spec := cacheSpec()
+			seeds := Seeds(1, 4)
+			c := &Cache{Inner: &Local{Parallel: 2}, Dir: dir, Addr: addr}
+			mustRun(t, &Runner{Executor: c}, []Spec{spec}, seeds)
+			c.Close()
+			s := c.Stats()
+			if s.Outages != 1 {
+				t.Errorf("want exactly one latched store outage: %+v", s)
+			}
+			if s.Misses != int64(len(seeds)) {
+				t.Errorf("outage run should miss (and recompute) every seed: %+v", s)
+			}
+			if s.WriteErrs != 0 {
+				t.Errorf("outage writes must fall back to the local dir, not fail: %+v", s)
+			}
+
+			// The fallback dir absorbed the writes: a second outage run hits locally.
+			again := &Cache{Inner: FailExecutor("local fallback missed"), Dir: dir, Addr: addr}
+			mustRun(t, &Runner{Executor: again}, []Spec{spec}, seeds)
+			again.Close()
+			if s := again.Stats(); s.Hits != int64(len(seeds)) {
+				t.Errorf("fallback dir not warm after outage run: %+v", s)
+			}
+		})
+	}
+}
+
+// deadStoreAddr returns an address that refuses connections.
+func deadStoreAddr(t *testing.T) string {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadAddr := ln.Addr().String()
-	ln.Close() // connection refused from here on
+	ln.Close()
+	return ln.Addr().String()
+}
 
-	dir := t.TempDir()
-	spec := cacheSpec()
-	seeds := Seeds(1, 4)
-	c := &Cache{Inner: &Local{Parallel: 2}, Dir: dir, Addr: deadAddr}
-	mustRun(t, &Runner{Executor: c}, []Spec{spec}, seeds)
-	c.Close()
-	s := c.Stats()
-	if s.Outages == 0 {
-		t.Errorf("store outage not counted: %+v", s)
+// jsonStoreAddr runs a peer that answers every frame with a JSON-framed
+// reply, as the store of an older build would.
+func jsonStoreAddr(t *testing.T) string {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.Misses != int64(len(seeds)) {
-		t.Errorf("outage run should miss (and recompute) every seed: %+v", s)
-	}
-	if s.WriteErrs != 0 {
-		t.Errorf("outage writes must fall back to the local dir, not fail: %+v", s)
-	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				var buf []byte
+				for {
+					if _, err := readRawFrame(br, &buf); err != nil {
+						return
+					}
+					conn.Write(rawFrame([]byte(`{"found":false}`)))
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
 
-	// The fallback dir absorbed the writes: a second outage run hits locally.
-	again := &Cache{Inner: FailExecutor("local fallback missed"), Dir: dir, Addr: deadAddr}
-	mustRun(t, &Runner{Executor: again}, []Spec{spec}, seeds)
-	again.Close()
-	if s := again.Stats(); s.Hits != int64(len(seeds)) {
-		t.Errorf("fallback dir not warm after outage run: %+v", s)
+// storeClient is a raw connection to a store, for driving the protocol
+// frame by frame.
+type storeClient struct {
+	t     *testing.T
+	conn  net.Conn
+	br    *bufio.Reader
+	fs    frameScratch
+	inbuf []byte
+}
+
+func dialStore(t *testing.T, addr string) *storeClient {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { conn.Close() })
+	return &storeClient{t: t, conn: conn, br: bufio.NewReader(conn)}
+}
+
+// exchange sends one request frame and returns the parsed reply, valid
+// until the next exchange.
+func (c *storeClient) exchange(frame []byte) storeMsg {
+	c.t.Helper()
+	if _, err := c.conn.Write(frame); err != nil {
+		c.t.Fatal(err)
+	}
+	p, err := readRawFrame(c.br, &c.inbuf)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	m, err := parseStoreReply(p)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	return m
+}
+
+// rawFrame length-prefixes an arbitrary payload.
+func rawFrame(payload []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
 }
 
 // TestStoreRejectsEscapingKeys: the store must refuse any key that could
 // leave its root.
 func TestStoreRejectsEscapingKeys(t *testing.T) {
 	addr, dir := startStoreServer(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
+	c := dialStore(t, addr)
 	for _, key := range []string{"", "/abs/path", "../escape", "a/../../b", "a//b", "a/./b", `a\b`} {
-		if err := writeFrame(conn, storeRequest{Op: "get", Key: key}); err != nil {
-			t.Fatal(err)
-		}
-		var resp storeResponse
-		if err := readFrame(br, &resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.Err == "" || resp.Found {
-			t.Errorf("key %q was not rejected: %+v", key, resp)
+		if m := c.exchange(c.fs.storeGetFrame(key)); m.ftype != frameStoreError {
+			t.Errorf("key %q was not rejected: %+v", key, m)
 		}
 	}
 	// And a valid key still works end to end on the same connection.
 	res := Result{Name: "x", Values: map[string]float64{"v": 1}}
-	data, _ := EncodeResult(res)
-	if err := writeFrame(conn, storeRequest{Op: "put", Key: "ok/entry.json", Data: data}); err != nil {
-		t.Fatal(err)
+	if m := c.exchange(c.fs.storePutFrame("ok/entry.bin", res)); m.ftype != frameStoreOK {
+		t.Fatalf("valid put rejected: %+v", m)
 	}
-	var putResp storeResponse
-	if err := readFrame(br, &putResp); err != nil {
-		t.Fatal(err)
-	}
-	if putResp.Err != "" {
-		t.Fatalf("valid put rejected: %+v", putResp)
-	}
-	if _, ok := (diskStore{root: dir}).load("ok/entry.json"); !ok {
+	if _, ok := (diskStore{root: dir}).load("ok/entry.bin"); !ok {
 		t.Error("valid put did not land in the store dir")
 	}
 }
@@ -135,38 +199,23 @@ func TestStoreRejectsEscapingKeys(t *testing.T) {
 // encoded Result must be refused, never stored.
 func TestStoreUndecodablePutRejected(t *testing.T) {
 	addr, dir := startStoreServer(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	c := dialStore(t, addr)
+	payload := appendLenBytes([]byte{frameStorePut}, "bad/entry.bin")
+	if m := c.exchange(rawFrame(append(payload, "{torn"...))); m.ftype != frameStoreError {
+		t.Errorf("undecodable put was accepted: %+v", m)
 	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	if err := writeFrame(conn, storeRequest{Op: "put", Key: "bad/entry.json", Data: []byte("{torn")}); err != nil {
-		t.Fatal(err)
-	}
-	var resp storeResponse
-	if err := readFrame(br, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err == "" {
-		t.Error("undecodable put was accepted")
-	}
-	if _, ok := (diskStore{root: dir}).load("bad/entry.json"); ok {
+	if _, ok := (diskStore{root: dir}).load("bad/entry.bin"); ok {
 		t.Error("undecodable put landed in the store dir")
 	}
 }
 
-// TestStoreBinaryRoundTripsOverWire: a binary-codec entry survives the
-// store protocol end to end — PUT re-encodes it to disk, GET returns
-// bytes that decode bit-identically, hostile floats included.
+// TestStoreBinaryRoundTripsOverWire: an entry survives the store protocol
+// end to end — PUT re-encodes it to disk, GET returns bytes that decode
+// bit-identically, hostile floats included — and an absent key is a plain
+// miss.
 func TestStoreBinaryRoundTripsOverWire(t *testing.T) {
 	addr, _ := startStoreServer(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
+	c := dialStore(t, addr)
 
 	res := Result{
 		Name:  "bin",
@@ -177,36 +226,18 @@ func TestStoreBinaryRoundTripsOverWire(t *testing.T) {
 			"negzero": math.Copysign(0, -1),
 		},
 	}
-	data, err := EncodeResult(res)
-	if err != nil {
-		t.Fatal(err)
+	const key = "v1/bin-000000/seed1.bin"
+	if m := c.exchange(c.fs.storeGetFrame(key)); m.ftype != frameStoreOK {
+		t.Fatalf("get of an absent key = %+v, want a miss", m)
 	}
-	if data[0] != resultMagic {
-		t.Fatalf("EncodeResult is not the binary codec (first byte %#x)", data[0])
+	if m := c.exchange(c.fs.storePutFrame(key, res)); m.ftype != frameStoreOK {
+		t.Fatalf("binary put rejected: %+v", m)
 	}
-	const key = "v1/bin-000000/seed1.json"
-	if err := writeFrame(conn, storeRequest{Op: "put", Key: key, Data: data}); err != nil {
-		t.Fatal(err)
+	m := c.exchange(c.fs.storeGetFrame(key))
+	if m.ftype != frameStoreFound {
+		t.Fatalf("binary get failed: %+v", m)
 	}
-	var putResp storeResponse
-	if err := readFrame(br, &putResp); err != nil {
-		t.Fatal(err)
-	}
-	if putResp.Err != "" {
-		t.Fatalf("binary put rejected: %+v", putResp)
-	}
-
-	if err := writeFrame(conn, storeRequest{Op: "get", Key: key}); err != nil {
-		t.Fatal(err)
-	}
-	var getResp storeResponse
-	if err := readFrame(br, &getResp); err != nil {
-		t.Fatal(err)
-	}
-	if getResp.Err != "" || !getResp.Found {
-		t.Fatalf("binary get failed: %+v", getResp)
-	}
-	got, err := DecodeResult(getResp.Data)
+	got, err := DecodeResult(m.result)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,5 +248,22 @@ func TestStoreBinaryRoundTripsOverWire(t *testing.T) {
 		if math.Float64bits(got.Values[k]) != math.Float64bits(want) {
 			t.Errorf("%s: %#x, want %#x", k, math.Float64bits(got.Values[k]), math.Float64bits(want))
 		}
+	}
+}
+
+// TestStoreClosesOnJSONRequest: the store speaks only binary frames. A
+// JSON-framed request, as an older build's client sends, closes that
+// connection — without a panic — and the store keeps serving others.
+func TestStoreClosesOnJSONRequest(t *testing.T) {
+	addr, _ := startStoreServer(t)
+	c := dialStore(t, addr)
+	if _, err := c.conn.Write(rawFrame([]byte(`{"op":"get","key":"a/b.bin"}`))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readRawFrame(c.br, &c.inbuf); err != io.EOF {
+		t.Errorf("JSON-framed request: read = %v, want the server to close (io.EOF)", err)
+	}
+	if m := dialStore(t, addr).exchange(c.fs.storeGetFrame("a/b.bin")); m.ftype != frameStoreOK {
+		t.Errorf("store stopped serving after a JSON request: %+v", m)
 	}
 }

@@ -13,8 +13,18 @@ import (
 // TestServeWorkerProtocol drives the worker loop over in-memory pipes —
 // no subprocess — checking the hello handshake, chunk-request framing
 // with per-seed streamed responses, extra-spec precedence, unknown names
-// and panic conversion.
+// and panic conversion. It runs clean and under network chaos verbs, which
+// a stdio session must ignore: the stream has to come out identical.
 func TestServeWorkerProtocol(t *testing.T) {
+	for _, chaos := range []string{"", "drop-conn-after=1,blackhole-after=1,replay-after=1", "replay-after=2"} {
+		t.Run("chaos="+chaos, func(t *testing.T) {
+			t.Setenv(chaosEnv, chaos)
+			testServeWorkerProtocol(t)
+		})
+	}
+}
+
+func testServeWorkerProtocol(t *testing.T) {
 	extra := Spec{
 		Name: "test-extra", Desc: "extra",
 		Run: func(seed int64) Result {
