@@ -54,10 +54,23 @@ func (p Pareto) Mean() float64 {
 		(math.Pow(l, 1-a) - math.Pow(h, 1-a))
 }
 
-// Sample inverts the CDF at u ∈ [0, 1).
+// Sample inverts the CDF at u ∈ [0, 1). Draw loops should build the
+// inverse once instead, as Start does.
 func (p Pareto) Sample(u float64) float64 {
+	return p.inverse().at(u)
+}
+
+// paretoInverse is a bounded Pareto's inverse CDF, l·(1-u·k)^e, with the
+// draw-independent k = 1-(l/h)^α and e = -1/α computed once.
+type paretoInverse struct{ l, k, e float64 }
+
+func (p Pareto) inverse() paretoInverse {
 	a, l, h := p.Alpha, p.MinBytes, p.MaxBytes
-	return l * math.Pow(1-u*(1-math.Pow(l/h, a)), -1/a)
+	return paretoInverse{l: l, k: 1 - math.Pow(l/h, a), e: -1 / a}
+}
+
+func (q paretoInverse) at(u float64) float64 {
+	return q.l * math.Pow(1-u*q.k, q.e)
 }
 
 // Config parameterizes one metro scenario.
@@ -309,13 +322,14 @@ func (m *Model) Start() {
 		// the accepted process is exactly Poisson(n·λ) with a uniform
 		// station mark, at any live count n.
 		maxRate := float64(cfg.cap()) * cfg.RatePerStation
+		frame := cfg.Frame.inverse()
 		r := m.s.Rand()
 		var onFrame func()
 		onFrame = func() {
 			if j := r.Intn(cfg.cap()); j < len(m.live) {
 				id := m.live[j]
 				m.pendFrames[id]++
-				m.pendBytes[id] += cfg.Frame.Sample(r.Float64())
+				m.pendBytes[id] += frame.at(r.Float64())
 			}
 			m.s.Schedule(expDelay(r.ExpFloat64(), maxRate), onFrame)
 		}

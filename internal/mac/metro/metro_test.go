@@ -182,6 +182,40 @@ func TestParetoMoments(t *testing.T) {
 	}
 }
 
+// TestParetoInverseBitIdentical holds the hoisted inverse CDF (and Sample,
+// which delegates to it) to the inline expression it replaced, bit for bit,
+// so hoisting the constants cannot move a single frame size.
+func TestParetoInverseBitIdentical(t *testing.T) {
+	cases := []Pareto{
+		{Alpha: 1.5, MinBytes: 200, MaxBytes: 15000}, // e18–e20
+		{Alpha: 0.5, MinBytes: 1, MaxBytes: 1e6},
+		{Alpha: 0.9, MinBytes: 40, MaxBytes: 41},
+		{Alpha: 2.5, MinBytes: 64, MaxBytes: 1500},
+		{Alpha: 7, MinBytes: 1e-3, MaxBytes: 1e9},
+	}
+	us := []float64{0, 0x1p-53, 0.5, 1 - 0x1p-53}
+	for i := 1; i < 1024; i++ {
+		us = append(us, float64(i)/1024)
+	}
+	r := sim.New(1).Rand()
+	for i := 0; i < 1024; i++ {
+		us = append(us, r.Float64())
+	}
+	for _, p := range cases {
+		a, l, h := p.Alpha, p.MinBytes, p.MaxBytes
+		inv := p.inverse()
+		for _, u := range us {
+			want := math.Float64bits(l * math.Pow(1-u*(1-math.Pow(l/h, a)), -1/a))
+			if got := math.Float64bits(inv.at(u)); got != want {
+				t.Fatalf("%+v: inverse(%v) bits %#x, inline %#x", p, u, got, want)
+			}
+			if got := math.Float64bits(p.Sample(u)); got != want {
+				t.Fatalf("%+v: Sample(%v) bits %#x, inline %#x", p, u, got, want)
+			}
+		}
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.APs = 0 },

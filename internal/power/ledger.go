@@ -31,8 +31,9 @@ type Ledger struct {
 	transJ []float64
 }
 
-// NewLedger creates a ledger for n stations, all columns zero. The ledger
-// grows on Ensure, so n is just the initial population guess.
+// NewLedger creates a ledger for n stations, all columns zero, allocating
+// each column once. The ledger grows on Ensure, so n is just the initial
+// population guess.
 func NewLedger(p *radio.Profile, n int) *Ledger {
 	l := &Ledger{profile: p}
 	l.Ensure(n)
@@ -42,18 +43,26 @@ func NewLedger(p *radio.Profile, n int) *Ledger {
 // Len returns the number of station rows currently allocated.
 func (l *Ledger) Len() int { return len(l.transJ) }
 
-// Ensure grows the ledger to cover station ids [0, n). Growth is geometric
-// (power-of-two capacity via append), so attaching stations one at a time
-// at metro scale performs O(log n) copies per column.
+// Ensure grows the ledger to cover station ids [0, n), new rows zero. Each
+// column is reallocated once, at its new size, and copied once; a request
+// at or below Len is a no-op.
 func (l *Ledger) Ensure(n int) {
-	for len(l.transJ) < n {
-		l.transJ = append(l.transJ, 0)
+	if n <= len(l.transJ) {
+		return
 	}
+	l.transJ = resized(l.transJ, n)
 	for st := range l.dwell {
-		for len(l.dwell[st]) < n {
-			l.dwell[st] = append(l.dwell[st], 0)
-		}
+		l.dwell[st] = resized(l.dwell[st], n)
 	}
+}
+
+// resized returns col's rows followed by zero rows up to n, in a single
+// allocation. (append(col, make([]T, k)...) fuses into one allocation only
+// when the compiler does not instrument the build, as -race does.)
+func resized[T any](col []T, n int) []T {
+	out := make([]T, n)
+	copy(out, col)
+	return out
 }
 
 // Reset zeroes station id's row so a churn-recycled id starts a fresh

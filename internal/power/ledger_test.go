@@ -57,6 +57,12 @@ func TestLedgerEnsureAndReset(t *testing.T) {
 	if l.Len() != 10 {
 		t.Fatalf("Ensure(4) shrank ledger to %d", l.Len())
 	}
+	l.Dwell(9, radio.RX, sim.Second)
+	l.Ensure(20) // growth keeps existing rows and zeroes new ones
+	if l.Len() != 20 || l.TimeIn(9, radio.RX) != sim.Second || l.EnergyJ(19) != 0 {
+		t.Fatalf("after Ensure(20): Len %d, TimeIn(9, RX) %v, EnergyJ(19) %g",
+			l.Len(), l.TimeIn(9, radio.RX), l.EnergyJ(19))
+	}
 
 	l.Dwell(7, radio.TX, sim.Second)
 	l.Transition(7, radio.Idle, radio.Sleep)
@@ -80,5 +86,18 @@ func TestLedgerChargeZeroAlloc(t *testing.T) {
 		}
 	}); a != 0 {
 		t.Errorf("ledger charge path allocates %v per op, want 0", a)
+	}
+}
+
+var ledgerSink *Ledger
+
+// TestNewLedgerAllocatesColumnsOnce pins metro-scale construction: a 10⁵-row
+// ledger costs the Ledger plus one allocation per column, not a chain of
+// growslice copies per column.
+func TestNewLedgerAllocatesColumnsOnce(t *testing.T) {
+	p := radio.WLAN80211b()
+	want := float64(1 + radio.NumStates + 1) // Ledger, dwell columns, transJ
+	if a := testing.AllocsPerRun(10, func() { ledgerSink = NewLedger(p, 100_000) }); a != want {
+		t.Errorf("NewLedger(p, 100000) allocates %v objects, want %v", a, want)
 	}
 }

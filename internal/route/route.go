@@ -10,7 +10,6 @@
 package route
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -93,7 +92,8 @@ func (n *Node) Level() float64 {
 	return l
 }
 
-// Network is an ad-hoc topology with per-node batteries.
+// Network is an ad-hoc topology with per-node batteries. It is not safe for
+// concurrent use: every search reuses scratch held on the Network.
 type Network struct {
 	nodes []*Node
 	rang  float64 // radio range, meters
@@ -106,6 +106,16 @@ type Network struct {
 	totalEnergyJ  float64
 	firstDeathPkt int // packet count at first node death, -1 while none
 	deaths        int
+
+	// adj[i] lists the nodes within radio range of node i in id order,
+	// dead or alive: positions never move, so it is built once, on the
+	// first search. The other fields are search scratch reused by every
+	// search: best is a node's distance (dijkstra) or width (widest).
+	adj     [][]int
+	best    []float64
+	prev    []int
+	visited []bool
+	heap    pq
 }
 
 // NewGrid builds a w×h grid network with the given spacing, radio range and
@@ -172,18 +182,22 @@ func (n *Network) dist(a, b *Node) float64 {
 	return math.Sqrt(dx*dx + dy*dy)
 }
 
-// neighbors yields alive nodes within radio range of a.
-func (n *Network) neighbors(a *Node) []*Node {
-	var out []*Node
-	for _, b := range n.nodes {
-		if b == a || !b.Alive() {
-			continue
-		}
-		if n.dist(a, b) <= n.rang {
-			out = append(out, b)
+// link builds the adjacency lists and sizes the search scratch, once.
+func (n *Network) link() {
+	if len(n.adj) == len(n.nodes) {
+		return
+	}
+	n.adj = make([][]int, len(n.nodes))
+	for i, a := range n.nodes {
+		for j, b := range n.nodes {
+			if j != i && n.dist(a, b) <= n.rang {
+				n.adj[i] = append(n.adj[i], j)
+			}
 		}
 	}
-	return out
+	n.best = make([]float64, len(n.nodes))
+	n.prev = make([]int, len(n.nodes))
+	n.visited = make([]bool, len(n.nodes))
 }
 
 // linkEnergy returns the per-bit cost of the a→b link (TX at a + RX at b).
@@ -193,33 +207,37 @@ func (n *Network) linkEnergy(a, b *Node) float64 {
 }
 
 // Route computes a path from src to dst under the policy, or nil when no
-// path exists among alive nodes.
+// path exists among alive nodes. The returned path is freshly allocated.
 func (n *Network) Route(policy Policy, src, dst int) []int {
 	s, d := n.nodes[src], n.nodes[dst]
 	if !s.Alive() || !d.Alive() {
 		return nil
 	}
+	n.link()
+	var found bool
 	switch policy {
-	case MinHop:
-		return n.dijkstra(src, dst, func(a, b *Node) float64 { return 1 })
-	case MinEnergy:
-		return n.dijkstra(src, dst, n.linkEnergy)
+	case MinHop, MinEnergy:
+		found = n.dijkstra(src, dst, policy == MinEnergy)
 	case MaxMinBattery:
-		return n.widest(src, dst)
+		found = n.widest(src, dst)
 	case Conditional:
-		p := n.dijkstra(src, dst, n.linkEnergy)
-		if p == nil {
-			return nil
-		}
-		for _, id := range p {
-			if n.nodes[id].Level() < n.BatteryThreshold {
-				return n.widest(src, dst)
+		found = n.dijkstra(src, dst, true)
+		for at := dst; found && at != -1; at = n.prev[at] {
+			if n.nodes[at].Level() < n.BatteryThreshold {
+				found = n.widest(src, dst)
+				break
+			}
+			if at == src {
+				break
 			}
 		}
-		return p
 	default:
 		panic(fmt.Sprintf("route: unknown policy %d", int(policy)))
 	}
+	if !found {
+		return nil
+	}
+	return n.unwind(src, dst)
 }
 
 // Send routes one packet of the given bit count and drains energy along the
@@ -260,132 +278,144 @@ func (n *Network) drain(nd *Node, j float64) {
 // --- shortest path machinery ---
 
 type pqItem struct {
-	id    int
-	prio  float64
-	index int
+	id   int
+	prio float64
 }
 
-type pq struct {
-	items []*pqItem
-	max   bool // max-heap for widest path
-}
+// pq is a binary min-heap of values. push and pop sift exactly as
+// container/heap's Push and Pop do, so equal priorities pop in the same
+// order a container/heap queue would give them.
+type pq []pqItem
 
-func (q pq) Len() int { return len(q.items) }
-func (q pq) Less(i, j int) bool {
-	if q.max {
-		return q.items[i].prio > q.items[j].prio
+func (q *pq) push(id int, prio float64) {
+	h := append(*q, pqItem{id, prio})
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(h[j].prio < h[i].prio) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
 	}
-	return q.items[i].prio < q.items[j].prio
-}
-func (q pq) Swap(i, j int) {
-	q.items[i], q.items[j] = q.items[j], q.items[i]
-	q.items[i].index = i
-	q.items[j].index = j
-}
-func (q *pq) Push(x any) {
-	it := x.(*pqItem)
-	it.index = len(q.items)
-	q.items = append(q.items, it)
-}
-func (q *pq) Pop() any {
-	old := q.items
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	q.items = old[:n-1]
-	return it
+	*q = h
 }
 
-// dijkstra finds the min-cost path under an additive edge weight.
-func (n *Network) dijkstra(src, dst int, weight func(a, b *Node) float64) []int {
+func (q *pq) pop() int {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].prio < h[j].prio {
+			j = j2
+		}
+		if !(h[j].prio < h[i].prio) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n].id
+}
+
+// reset readies the scratch for a search: every best at init, no
+// predecessors, nothing visited, an empty queue.
+func (n *Network) reset(init float64) []float64 {
+	for i := range n.best {
+		n.best[i] = init
+		n.prev[i] = -1
+		n.visited[i] = false
+	}
+	n.heap = n.heap[:0]
+	return n.best
+}
+
+// dijkstra finds the min-cost path from src to dst, costing each link one
+// hop or, with energy set, its per-bit TX+RX energy. It leaves the path in
+// prev and reports whether dst is reachable among alive nodes.
+func (n *Network) dijkstra(src, dst int, energy bool) bool {
 	const inf = math.MaxFloat64
-	dist := make([]float64, len(n.nodes))
-	prev := make([]int, len(n.nodes))
-	for i := range dist {
-		dist[i] = inf
-		prev[i] = -1
-	}
+	dist := n.reset(inf)
 	dist[src] = 0
-	q := &pq{}
-	heap.Push(q, &pqItem{id: src, prio: 0})
-	visited := make([]bool, len(n.nodes))
-	for q.Len() > 0 {
-		it := heap.Pop(q).(*pqItem)
-		u := it.id
-		if visited[u] {
+	n.heap.push(src, 0)
+	for len(n.heap) > 0 {
+		u := n.heap.pop()
+		if n.visited[u] {
 			continue
 		}
-		visited[u] = true
+		n.visited[u] = true
 		if u == dst {
 			break
 		}
-		for _, b := range n.neighbors(n.nodes[u]) {
-			w := weight(n.nodes[u], b)
-			if nd := dist[u] + w; nd < dist[b.ID] {
-				dist[b.ID] = nd
-				prev[b.ID] = u
-				heap.Push(q, &pqItem{id: b.ID, prio: nd})
+		for _, v := range n.adj[u] {
+			b := n.nodes[v]
+			if !b.Alive() {
+				continue
+			}
+			w := 1.0
+			if energy {
+				w = n.linkEnergy(n.nodes[u], b)
+			}
+			if nd := dist[u] + w; nd < dist[v] {
+				dist[v] = nd
+				n.prev[v] = u
+				n.heap.push(v, nd)
 			}
 		}
 	}
-	if dist[dst] == inf {
-		return nil
-	}
-	return unwind(prev, src, dst)
+	return dist[dst] != inf
 }
 
 // widest finds the path maximizing the minimum battery level of
-// intermediate and endpoint nodes (bottleneck shortest path).
-func (n *Network) widest(src, dst int) []int {
-	width := make([]float64, len(n.nodes))
-	prev := make([]int, len(n.nodes))
-	for i := range width {
-		width[i] = -1
-		prev[i] = -1
-	}
+// intermediate and endpoint nodes (bottleneck shortest path), leaving it in
+// prev. The min-heap orders widths by their negation, which for non-NaN
+// floats is exactly the max-heap order.
+func (n *Network) widest(src, dst int) bool {
+	width := n.reset(-1)
 	width[src] = n.nodes[src].Level()
-	q := &pq{max: true}
-	heap.Push(q, &pqItem{id: src, prio: width[src]})
-	visited := make([]bool, len(n.nodes))
-	for q.Len() > 0 {
-		it := heap.Pop(q).(*pqItem)
-		u := it.id
-		if visited[u] {
+	n.heap.push(src, -width[src])
+	for len(n.heap) > 0 {
+		u := n.heap.pop()
+		if n.visited[u] {
 			continue
 		}
-		visited[u] = true
+		n.visited[u] = true
 		if u == dst {
 			break
 		}
-		for _, b := range n.neighbors(n.nodes[u]) {
-			w := math.Min(width[u], b.Level())
-			if w > width[b.ID] {
-				width[b.ID] = w
-				prev[b.ID] = u
-				heap.Push(q, &pqItem{id: b.ID, prio: w})
+		for _, v := range n.adj[u] {
+			b := n.nodes[v]
+			if !b.Alive() {
+				continue
+			}
+			if w := math.Min(width[u], b.Level()); w > width[v] {
+				width[v] = w
+				n.prev[v] = u
+				n.heap.push(v, -w)
 			}
 		}
 	}
-	if width[dst] < 0 {
-		return nil
-	}
-	return unwind(prev, src, dst)
+	return width[dst] >= 0
 }
 
-func unwind(prev []int, src, dst int) []int {
-	var rev []int
-	for at := dst; at != -1; at = prev[at] {
-		rev = append(rev, at)
-		if at == src {
-			break
-		}
+// unwind returns a fresh src→dst path from the last search's prev links,
+// or nil when they do not lead back to src.
+func (n *Network) unwind(src, dst int) []int {
+	hops, at := 0, dst
+	for at != src && n.prev[at] != -1 {
+		at = n.prev[at]
+		hops++
 	}
-	if rev[len(rev)-1] != src {
+	if at != src {
 		return nil
 	}
-	out := make([]int, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		out = append(out, rev[i])
+	out := make([]int, hops+1)
+	for at, i := dst, hops; i >= 0; at, i = n.prev[at], i-1 {
+		out[i] = at
 	}
 	return out
 }

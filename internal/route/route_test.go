@@ -1,11 +1,15 @@
 package route
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+var allPolicies = []Policy{MinHop, MinEnergy, MaxMinBattery, Conditional}
 
 // line builds a 1×n chain with the given spacing: forced linear topology.
 func line(n int, spacing, rng, battery float64) *Network {
@@ -13,7 +17,7 @@ func line(n int, spacing, rng, battery float64) *Network {
 }
 
 func TestPolicyNames(t *testing.T) {
-	for _, p := range []Policy{MinHop, MinEnergy, MaxMinBattery, Conditional} {
+	for _, p := range allPolicies {
 		if p.String() == "" {
 			t.Error("missing name")
 		}
@@ -248,4 +252,226 @@ func TestNumAliveAndLevels(t *testing.T) {
 	if n.Size() != 4 {
 		t.Error("size wrong")
 	}
+}
+
+// TestRouteMatchesReference holds Route to the reference search below, path
+// for path, over grid and random topologies with killed and draining
+// batteries. Grids tie on hop count, energy and (while batteries are full)
+// width everywhere, so this pins the equal-priority pop order the seed-1
+// golden only samples.
+func TestRouteMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var n *Network
+		if seed%2 == 0 {
+			n = NewGrid(2+rng.Intn(5), 2+rng.Intn(5), 10, 10+rng.Float64()*20, 0.02, DefaultRadioCost())
+		} else {
+			n = NewRandom(rng, 10+rng.Intn(30), 60, 12+rng.Float64()*15, 0.02, DefaultRadioCost())
+		}
+		for k := rng.Intn(4); k > 0; k-- {
+			n.Node(rng.Intn(n.Size())).Battery = 0
+		}
+		for i := 0; i < 300; i++ {
+			policy := allPolicies[rng.Intn(len(allPolicies))]
+			src, dst := rng.Intn(n.Size()), rng.Intn(n.Size())
+			want := refRoute(n, policy, src, dst)
+			if got := n.Route(policy, src, dst); (got == nil) != (want == nil) || !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: %v %d→%d = %v, reference %v", seed, i, policy, src, dst, got, want)
+			}
+			n.Send(policy, src, dst, 8_000) // drain the path so levels diverge
+		}
+	}
+}
+
+// TestSendAllocs pins the search's allocation budget: once the adjacency
+// lists and scratch exist, a Send allocates only the path Route returns.
+// Conditional runs with a threshold no level can meet, so every call pays
+// for both of its searches.
+func TestSendAllocs(t *testing.T) {
+	for _, policy := range allPolicies {
+		n := NewGrid(5, 5, 10, 15, 1e3, DefaultRadioCost())
+		if policy == Conditional {
+			n.BatteryThreshold = 2
+		}
+		n.Send(policy, 0, 24, 8_000)
+		if a := testing.AllocsPerRun(100, func() { n.Send(policy, 0, 24, 8_000) }); a > 1 {
+			t.Errorf("%v: warmed Send allocates %v objects, want at most 1", policy, a)
+		}
+	}
+}
+
+// BenchmarkSend times one packet of e16's cross traffic (left edge to right
+// edge of a 5×5 grid) per policy. Batteries are large enough that nothing
+// dies, so every iteration does the same search work.
+func BenchmarkSend(b *testing.B) {
+	for _, policy := range allPolicies {
+		b.Run(policy.String(), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			n := NewGrid(5, 5, 10, 15, 1e6, DefaultRadioCost())
+			b.ReportAllocs()
+			for b.Loop() {
+				n.Send(policy, rng.Intn(5), 20+rng.Intn(5), 8_000)
+			}
+		})
+	}
+}
+
+// --- reference search ---
+//
+// The search as it stood before the adjacency lists and the typed heap: a
+// range scan of every node per visit and container/heap over pointer
+// items, allocating fresh state per call.
+
+func refNeighbors(n *Network, a *Node) []*Node {
+	var out []*Node
+	for _, b := range n.nodes {
+		if b == a || !b.Alive() {
+			continue
+		}
+		if n.dist(a, b) <= n.rang {
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
+type refItem struct {
+	id    int
+	prio  float64
+	index int
+}
+
+type refPQ struct {
+	items []*refItem
+	max   bool
+}
+
+func (q refPQ) Len() int { return len(q.items) }
+func (q refPQ) Less(i, j int) bool {
+	if q.max {
+		return q.items[i].prio > q.items[j].prio
+	}
+	return q.items[i].prio < q.items[j].prio
+}
+func (q refPQ) Swap(i, j int) {
+	q.items[i], q.items[j] = q.items[j], q.items[i]
+	q.items[i].index = i
+	q.items[j].index = j
+}
+func (q *refPQ) Push(x any) {
+	it := x.(*refItem)
+	it.index = len(q.items)
+	q.items = append(q.items, it)
+}
+func (q *refPQ) Pop() any {
+	old := q.items
+	it := old[len(old)-1]
+	q.items = old[:len(old)-1]
+	return it
+}
+
+func refRoute(n *Network, policy Policy, src, dst int) []int {
+	if !n.nodes[src].Alive() || !n.nodes[dst].Alive() {
+		return nil
+	}
+	hop := func(a, b *Node) float64 { return 1 }
+	switch policy {
+	case MinHop:
+		return refDijkstra(n, src, dst, hop)
+	case MinEnergy:
+		return refDijkstra(n, src, dst, n.linkEnergy)
+	case MaxMinBattery:
+		return refWidest(n, src, dst)
+	default:
+		p := refDijkstra(n, src, dst, n.linkEnergy)
+		for _, id := range p {
+			if n.nodes[id].Level() < n.BatteryThreshold {
+				return refWidest(n, src, dst)
+			}
+		}
+		return p
+	}
+}
+
+func refDijkstra(n *Network, src, dst int, weight func(a, b *Node) float64) []int {
+	dist := make([]float64, len(n.nodes))
+	prev := make([]int, len(n.nodes))
+	for i := range dist {
+		dist[i] = math.MaxFloat64
+		prev[i] = -1
+	}
+	dist[src] = 0
+	q := &refPQ{}
+	heap.Push(q, &refItem{id: src, prio: 0})
+	visited := make([]bool, len(n.nodes))
+	for q.Len() > 0 {
+		u := heap.Pop(q).(*refItem).id
+		if visited[u] {
+			continue
+		}
+		visited[u] = true
+		if u == dst {
+			break
+		}
+		for _, b := range refNeighbors(n, n.nodes[u]) {
+			if nd := dist[u] + weight(n.nodes[u], b); nd < dist[b.ID] {
+				dist[b.ID] = nd
+				prev[b.ID] = u
+				heap.Push(q, &refItem{id: b.ID, prio: nd})
+			}
+		}
+	}
+	if dist[dst] == math.MaxFloat64 {
+		return nil
+	}
+	return refUnwind(prev, src, dst)
+}
+
+func refWidest(n *Network, src, dst int) []int {
+	width := make([]float64, len(n.nodes))
+	prev := make([]int, len(n.nodes))
+	for i := range width {
+		width[i] = -1
+		prev[i] = -1
+	}
+	width[src] = n.nodes[src].Level()
+	q := &refPQ{max: true}
+	heap.Push(q, &refItem{id: src, prio: width[src]})
+	visited := make([]bool, len(n.nodes))
+	for q.Len() > 0 {
+		u := heap.Pop(q).(*refItem).id
+		if visited[u] {
+			continue
+		}
+		visited[u] = true
+		if u == dst {
+			break
+		}
+		for _, b := range refNeighbors(n, n.nodes[u]) {
+			if w := math.Min(width[u], b.Level()); w > width[b.ID] {
+				width[b.ID] = w
+				prev[b.ID] = u
+				heap.Push(q, &refItem{id: b.ID, prio: w})
+			}
+		}
+	}
+	if width[dst] < 0 {
+		return nil
+	}
+	return refUnwind(prev, src, dst)
+}
+
+func refUnwind(prev []int, src, dst int) []int {
+	var rev []int
+	for at := dst; at != -1; at = prev[at] {
+		rev = append(rev, at)
+		if at == src {
+			break
+		}
+	}
+	if rev[len(rev)-1] != src {
+		return nil
+	}
+	slices.Reverse(rev)
+	return rev
 }
