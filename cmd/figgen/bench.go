@@ -44,17 +44,12 @@ type benchFile struct {
 	Entries []benchEntry `json:"entries"`
 }
 
-// benchEntry is one labelled run of the suite. Entries labelled
-// "autotune-<label>" are search traces from figgen -autotune rather than
-// suite baselines: their Benchmarks are the measured (spec, tuning)
-// points and Autotune summarizes the winners; trend reporting and gating
-// skip them.
+// benchEntry is one labelled run of the suite.
 type benchEntry struct {
-	Label      string           `json:"label"`
-	Go         string           `json:"go"`
-	Date       string           `json:"date"`
-	Benchmarks []benchResult    `json:"benchmarks"`
-	Autotune   []autotuneWinner `json:"autotune,omitempty"`
+	Label      string        `json:"label"`
+	Go         string        `json:"go"`
+	Date       string        `json:"date"`
+	Benchmarks []benchResult `json:"benchmarks"`
 }
 
 // benchResult is one benchmark's outcome in go-test units.
@@ -199,19 +194,6 @@ func runBenchJSON(w io.Writer, path, suite, label, gateLabel string, seed int64)
 	return gateErr
 }
 
-// trendEntries filters a trajectory file down to its suite baselines,
-// dropping the autotune-* search traces.
-func trendEntries(doc benchFile) []benchEntry {
-	out := make([]benchEntry, 0, len(doc.Entries))
-	for _, e := range doc.Entries {
-		if strings.HasPrefix(e.Label, "autotune-") {
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
 // commonBenchmarks returns the sorted benchmark names present (with a
 // positive ns/op) in every entry, and the sorted names that appear
 // somewhere but not everywhere — the ones a trajectory over the common
@@ -248,7 +230,7 @@ func commonBenchmarks(entries []benchEntry) (common map[string]bool, dropped []s
 // PR's "within gate" is a plateau or a slow slide. Entries usually come
 // from different machines, so the ratios read as trends, not measurements.
 func trendTable(w io.Writer, suite string, doc benchFile) {
-	entries := trendEntries(doc)
+	entries := doc.Entries
 	if len(entries) < 2 {
 		return
 	}
@@ -351,7 +333,7 @@ func crossSuiteTrend(w io.Writer, docs []benchFile) {
 	for i, doc := range docs {
 		header = append(header, doc.Suite)
 		vsFirst[i] = map[string]string{}
-		entries := trendEntries(doc)
+		entries := doc.Entries
 		if len(entries) == 0 {
 			continue
 		}

@@ -13,12 +13,10 @@
 //	       [-max-retries N] [-chunk-timeout D] [-restart-backoff D]
 //	       [-dial-timeout D] [-frame-timeout D]
 //	       [-degrade-local] [-chaos SCHEDULE] [-health-json FILE]
-//	       [-json] [-list] [-tuning KEY]
+//	       [-json] [-list]
 //	       [-cpuprofile FILE] [-memprofile FILE]
 //	       [-benchjson FILE [-benchgate LABEL]] [-macrojson FILE]
 //	       [-benchlabel L] [experiment ...]
-//	figgen -autotune FILE [-autotune-pin FILE] [-autotune-rounds K]
-//	       [-autotune-budget N] [-benchlabel L] [experiment ...]
 //	figgen -trend [-benchjson FILE] [-macrojson FILE] [-fabricjson FILE]
 //	figgen -serve ADDR [-chaos SCHEDULE]
 //	figgen -serve-store ADDR [-cache-dir DIR]
@@ -55,19 +53,10 @@
 // geometric mean of per-experiment ns/op ratios exceeds 1.30× (see
 // EXPERIMENTS.md, "Kernel benchmarks").
 //
-// -autotune FILE searches the sim.Tuning space for every selected tunable
-// experiment — seeded grid plus hill-climb, each point timed best of
-// -autotune-rounds, at most -autotune-budget points — and upserts the full
-// search trace into FILE (the macro trajectory file) under
-// "autotune-<benchlabel>"; -autotune-pin additionally writes the winners
-// as the generated pin table internal/exp applies at init. Every measured
-// point's output is byte-compared against the default tuning's, so a pin
-// can never change an experiment's results. -tuning KEY (e.g.
-// ts8-wb10-cd64-wmp0, or "default") forces one tuning onto every tunable
-// experiment of a normal run — order-invisible, wall clock only. -trend
-// prints the per-suite and cross-suite perf trajectories from the
+// -trend prints the per-suite and cross-suite perf trajectories from the
 // committed bench JSON files (override paths with -benchjson/-macrojson/
-// -fabricjson). See EXPERIMENTS.md, "Autotuning".
+// -fabricjson). Every experiment runs on the kernel's one default tuning
+// (see EXPERIMENTS.md, "Kernel tuning knobs").
 package main
 
 import (
@@ -84,22 +73,18 @@ import (
 )
 
 type options struct {
-	rf             cli.RunFlags
-	pattern        string
-	tags           string
-	jsonOut        bool
-	list           bool
-	benchJSON      string
-	macroJSON      string
-	fabricJSON     string
-	benchLabel     string
-	benchGate      string
-	trend          bool
-	autotune       string
-	autotunePin    string
-	autotuneRounds int
-	autotuneBudget int
-	names          []string
+	rf         cli.RunFlags
+	pattern    string
+	tags       string
+	jsonOut    bool
+	list       bool
+	benchJSON  string
+	macroJSON  string
+	fabricJSON string
+	benchLabel string
+	benchGate  string
+	trend      bool
+	names      []string
 }
 
 func main() {
@@ -115,10 +100,6 @@ func main() {
 	flag.StringVar(&o.benchLabel, "benchlabel", "dev", "label for the -benchjson/-macrojson trajectory entry")
 	flag.StringVar(&o.benchGate, "benchgate", "", "with -benchjson/-macrojson: enforce the bench gates against this baseline label")
 	flag.BoolVar(&o.trend, "trend", false, "print the per-suite and cross-suite perf trajectories from the committed bench JSON files and exit")
-	flag.StringVar(&o.autotune, "autotune", "", "search sim.Tuning per selected tunable experiment and record the trace into this macro bench JSON file")
-	flag.StringVar(&o.autotunePin, "autotune-pin", "", "with -autotune: write the measured-best winners as a generated Go pin table to this file")
-	flag.IntVar(&o.autotuneRounds, "autotune-rounds", 3, "with -autotune: timing rounds per tuning (the fastest round counts)")
-	flag.IntVar(&o.autotuneBudget, "autotune-budget", 48, "with -autotune: max tunings measured per experiment (grid + hill-climb)")
 	flag.Parse()
 	o.names = flag.Args()
 
@@ -146,44 +127,10 @@ func run(w io.Writer, o options) error {
 	if o.trend {
 		// Trend mode reads the committed trajectory files only; mixing it
 		// with a run or a suite would blur what the numbers are.
-		if o.autotune != "" || o.pattern != "" || o.tags != "" || len(o.names) > 0 {
+		if o.pattern != "" || o.tags != "" || len(o.names) > 0 {
 			return fmt.Errorf("-trend only reads the committed bench files; drop the other selections")
 		}
 		return runTrend(w, o)
-	}
-	if o.autotunePin != "" && o.autotune == "" {
-		return fmt.Errorf("-autotune-pin requires -autotune")
-	}
-	if o.autotune != "" {
-		// Autotune uses the normal experiment selection (-run/-tags/names;
-		// everything tunable when unselected) but runs its own measurement
-		// loop, so it excludes the benchmark-suite modes.
-		if o.benchJSON != "" || o.macroJSON != "" || o.fabricJSON != "" {
-			return fmt.Errorf("-autotune and the bench suites are separate modes; run them separately")
-		}
-		specs, err := selectSpecs(o)
-		if err != nil {
-			return err
-		}
-		if len(specs) == 0 {
-			return fmt.Errorf("no experiments match (use -list)")
-		}
-		stop, err := o.rf.StartProfiles()
-		if err != nil {
-			return err
-		}
-		if err := runAutotune(w, specs, autotuneOptions{
-			out:    o.autotune,
-			pin:    o.autotunePin,
-			rounds: o.autotuneRounds,
-			budget: o.autotuneBudget,
-			label:  o.benchLabel,
-			seed:   o.rf.Seed,
-		}); err != nil {
-			stop()
-			return err
-		}
-		return stop()
 	}
 	if o.benchJSON != "" || o.macroJSON != "" || o.fabricJSON != "" {
 		// Benchmark mode runs no experiment selection; a selection alongside

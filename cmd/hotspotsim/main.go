@@ -43,6 +43,10 @@ func main() {
 		outageLen = flag.Float64("outage-len", 40, "outage length in seconds")
 	)
 	flag.Parse()
+	if err := validateFlags(*nClients, *duration, *epoch, *outageAt, *outageLen); err != nil {
+		fmt.Fprintf(os.Stderr, "hotspotsim: %v\n", err)
+		os.Exit(2)
+	}
 
 	// Validate the selector flags exactly once, before any simulation (and
 	// before the Runner's workers start): mkConfig itself must stay
@@ -177,4 +181,31 @@ func main() {
 		os.Exit(2)
 	}
 	fmt.Print(aggs[0].Table())
+}
+
+// validateFlags rejects numeric flags the simulation cannot run, before
+// any spec is built: a bad client count otherwise reports a "0 W" run, a
+// bad epoch or duration panics inside core or the kernel, and a negative
+// outage schedules before now.
+func validateFlags(clients int, duration, epoch, outageAt, outageLen float64) error {
+	maxS := sim.MaxTime.Seconds()
+	switch {
+	case clients < 1:
+		return fmt.Errorf("-clients %d: want at least 1", clients)
+	case !positiveSpan(duration):
+		return fmt.Errorf("-duration %v: want finite seconds in [1 µs, %g s)", duration, maxS)
+	case !positiveSpan(epoch):
+		return fmt.Errorf("-epoch %v: want finite seconds in [1 µs, %g s)", epoch, maxS)
+	case !(outageAt >= 0 && outageAt < maxS):
+		return fmt.Errorf("-wlan-outage %v: want finite seconds in [0, %g s)", outageAt, maxS)
+	case !(outageLen >= 0 && outageAt+outageLen < maxS):
+		return fmt.Errorf("-outage-len %v: want finite seconds ≥ 0 ending before %g s", outageLen, maxS)
+	}
+	return nil
+}
+
+// positiveSpan reports whether v seconds is a usable simulated span:
+// finite, at least 1 µs once rounded, and below sim.MaxTime.
+func positiveSpan(v float64) bool {
+	return v > 0 && v < sim.MaxTime.Seconds() && sim.FromSeconds(v) >= sim.Microsecond
 }

@@ -41,15 +41,18 @@ func main() {
 		duration  = flag.Float64("duration", 30, "simulated seconds")
 	)
 	flag.Parse()
+	if err := validateFlags(*stationsN, *rateKBs, *duration); err != nil {
+		fmt.Fprintf(os.Stderr, "macbench: %v\n", err)
+		os.Exit(2)
+	}
 
-	chunk := 2000
-	interval := sim.FromSeconds(float64(chunk) / (*rateKBs * 1024))
+	interval := sim.FromSeconds(float64(chunkBytes) / (*rateKBs * 1024))
 	dur := sim.FromSeconds(*duration)
 
 	// The specs close over the CLI parameters, so Params records them
 	// canonically: shard workers rebuild identical specs from the re-exec'd
 	// command line, and the result cache keys on the parameterization.
-	specs := protocolSpecs(*stationsN, chunk, interval, dur)
+	specs := protocolSpecs(*stationsN, chunkBytes, interval, dur)
 	params := fmt.Sprintf("stations=%d rate=%g duration=%g", *stationsN, *rateKBs, *duration)
 	for i := range specs {
 		specs[i].Params = params
@@ -80,6 +83,33 @@ func main() {
 			fmt.Sprintf("%.1f", metric(a, "delivered").Mean))
 	}
 	fmt.Println(t)
+}
+
+// chunkBytes is the downlink delivery size; -rate sets how often one is
+// delivered to each station.
+const chunkBytes = 2000
+
+// validateFlags rejects load parameters the simulation cannot run, before
+// any spec is built: a bad station count otherwise panics in makeslice or
+// prints NaN rows, and a bad rate or duration panics inside the kernel.
+func validateFlags(stations int, rateKBs, duration float64) error {
+	if stations < 1 {
+		return fmt.Errorf("-stations %d: want at least 1", stations)
+	}
+	if !(rateKBs > 0) || !positiveSpan(float64(chunkBytes)/(rateKBs*1024)) {
+		return fmt.Errorf("-rate %v: want finite KB/s > 0 giving a %d-byte delivery interval in [1 µs, %g s)",
+			rateKBs, chunkBytes, sim.MaxTime.Seconds())
+	}
+	if !positiveSpan(duration) {
+		return fmt.Errorf("-duration %v: want finite seconds in [1 µs, %g s)", duration, sim.MaxTime.Seconds())
+	}
+	return nil
+}
+
+// positiveSpan reports whether v seconds is a usable simulated span:
+// finite, at least 1 µs once rounded, and below sim.MaxTime.
+func positiveSpan(v float64) bool {
+	return v > 0 && v < sim.MaxTime.Seconds() && sim.FromSeconds(v) >= sim.Microsecond
 }
 
 // protocolSpecs builds one scenario spec per MAC protocol, closed over the

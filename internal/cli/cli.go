@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -16,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/scenario"
-	"repro/internal/sim"
 )
 
 // RunFlags is the shared frontend flag set: seeding, execution backend
@@ -48,14 +48,6 @@ type RunFlags struct {
 	DialTimeout    time.Duration
 	FrameTimeout   time.Duration
 	Chaos          string
-
-	// Tuning, when non-empty, forces this kernel tuning (a sim.Tuning key
-	// such as "ts8-wb10-cd64-wmp0", or "default") onto every selected
-	// experiment that accepts one, overriding the per-spec pins. Tunings
-	// are order-invisible, so the override can change only the wall clock —
-	// which is the point: it is how the autotune CI smoke job proves a
-	// searched winner's output is byte-identical to the default's.
-	Tuning string
 
 	CPUProfile string
 	MemProfile string
@@ -102,7 +94,6 @@ func (f *RunFlags) Register(fs *flag.FlagSet) {
 	fs.DurationVar(&f.DialTimeout, "dial-timeout", def.DialTimeout, "shard: TCP worker dial timeout for -addrs (0 disables)")
 	fs.DurationVar(&f.FrameTimeout, "frame-timeout", def.FrameTimeout, "shard: per-frame read deadline on TCP worker connections (0 disables)")
 	fs.StringVar(&f.Chaos, "chaos", "", "shard/serve: fault-injection schedule for workers, e.g. \"crash-after=2,gens=2\" (see EXPERIMENTS.md)")
-	fs.StringVar(&f.Tuning, "tuning", "", "force this kernel tuning key (e.g. ts8-wb10-cd64-wmp0, or \"default\") on every tunable experiment; order-invisible, changes wall clock only")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile at the end of the run to this file")
 }
@@ -252,8 +243,7 @@ func (f *RunFlags) Runner(exec scenario.Executor, keepPerSeed bool) *scenario.Ru
 // land in LastRun for frontends that print a run summary. CI asserts on
 // both.
 func (f *RunFlags) Run(specs []scenario.Spec, keepPerSeed bool) ([]scenario.AggResult, error) {
-	specs, err := f.applyTuning(specs)
-	if err != nil {
+	if err := f.checkSeeds(); err != nil {
 		return nil, err
 	}
 	exec, err := f.Executor()
@@ -293,25 +283,16 @@ func (f *RunFlags) Run(specs []scenario.Spec, keepPerSeed bool) ([]scenario.AggR
 	return aggs, stop()
 }
 
-// applyTuning rewrites the specs' kernel tunings when -tuning is set,
-// leaving the caller's slice untouched. Only the local process sees the
-// override — a remote shard worker runs its own registry's pins — which is
-// fine because tunings cannot change a single output bit either way.
-func (f *RunFlags) applyTuning(specs []scenario.Spec) ([]scenario.Spec, error) {
-	if f.Tuning == "" {
-		return specs, nil
+// checkSeeds rejects a seed block Seeds would silently bend: fewer than
+// one seed, or a last seed (Seed + SeedsN - 1) past the int64 range.
+func (f *RunFlags) checkSeeds() error {
+	if f.SeedsN < 1 {
+		return fmt.Errorf("-seeds %d: want at least 1", f.SeedsN)
 	}
-	tun, err := sim.ParseTuningKey(f.Tuning)
-	if err != nil {
-		return nil, fmt.Errorf("-tuning: %w", err)
+	if f.Seed > math.MaxInt64-int64(f.SeedsN-1) {
+		return fmt.Errorf("-seed %d -seeds %d: last seed overflows int64", f.Seed, f.SeedsN)
 	}
-	out := append([]scenario.Spec(nil), specs...)
-	for i := range out {
-		if out[i].RunTuned != nil {
-			out[i].Tuning = &tun
-		}
-	}
-	return out, nil
+	return nil
 }
 
 // writeHealthJSON emits LastRun's structured counters as JSON — the

@@ -3,6 +3,7 @@ package cli
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -244,5 +245,32 @@ func TestStartProfilesErrorOnBadPath(t *testing.T) {
 	f := RunFlags{CPUProfile: filepath.Join(t.TempDir(), "no", "such", "dir", "cpu.out")}
 	if _, err := f.StartProfiles(); err == nil {
 		t.Fatal("StartProfiles accepted an unwritable path")
+	}
+}
+
+func TestRunRejectsBadSeedBlock(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		seed   int64
+		seedsN int
+	}{
+		{"zero seeds", 1, 0},
+		{"negative seeds", 1, -3},
+		{"last seed overflows", math.MaxInt64, 2},
+		{"long block overflows", math.MaxInt64 - 5, 7},
+	} {
+		f := RunFlags{Seed: c.seed, SeedsN: c.seedsN, Parallel: 1}
+		if _, err := f.Run([]scenario.Spec{testSpec()}, false); err == nil {
+			t.Errorf("%s: Run accepted -seed %d -seeds %d", c.name, c.seed, c.seedsN)
+		}
+	}
+	// The block may end exactly at MaxInt64.
+	f := RunFlags{Seed: math.MaxInt64 - 1, SeedsN: 2, Parallel: 1}
+	aggs, err := f.Run([]scenario.Spec{testSpec()}, false)
+	if err != nil {
+		t.Fatalf("block ending at MaxInt64 rejected: %v", err)
+	}
+	if got := aggs[0].Seeds; len(got) != 2 || got[1] != math.MaxInt64 {
+		t.Fatalf("seeds %v, want [MaxInt64-1 MaxInt64]", got)
 	}
 }

@@ -40,7 +40,7 @@ func TestFigure2Shape(t *testing.T) {
 }
 
 func TestE3ListenDominates(t *testing.T) {
-	r := E3ListenFraction(3, sim.DefaultTuning())
+	r := E3ListenFraction(3)
 	if r.Values["idleFraction"] < 0.85 {
 		t.Errorf("idle fraction %.3f, want ≥ 0.85 (paper: ~90%%)", r.Values["idleFraction"])
 	}
@@ -50,7 +50,7 @@ func TestE3ListenDominates(t *testing.T) {
 }
 
 func TestE4PSMBeatsCAMAtLowLoad(t *testing.T) {
-	r := E4PSMvsCAM(4, sim.DefaultTuning())
+	r := E4PSMvsCAM(4)
 	if r.Values["psm100-0.5"] > r.Values["cam-0.5"]/4 {
 		t.Errorf("PSM %.3f W vs CAM %.3f W at 0.5 pkt/s: want ≥4x saving",
 			r.Values["psm100-0.5"], r.Values["cam-0.5"])
@@ -64,7 +64,7 @@ func TestE4PSMBeatsCAMAtLowLoad(t *testing.T) {
 }
 
 func TestE5ECMACLowestPowerNoCollisions(t *testing.T) {
-	r := E5MACComparison(5, sim.DefaultTuning())
+	r := E5MACComparison(5)
 	if r.Values["ecmacW"] >= r.Values["camW"] {
 		t.Error("EC-MAC should beat CAM")
 	}

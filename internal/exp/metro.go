@@ -19,21 +19,13 @@ import (
 func metroCatalogue() []scenario.Spec {
 	return []scenario.Spec{
 		{Name: "e18", Desc: "E18: metro-dense — 20k stations, 8 APs, PSM downlink",
-			Tags: []string{"metro", "analytic"}, RunTuned: E18MetroDense, Tuning: &metroTuning},
+			Tags: []string{"metro", "analytic"}, Run: E18MetroDense},
 		{Name: "e19", Desc: "E19: metro-churn — Poisson association churn, M/M/∞ population",
-			Tags: []string{"metro", "analytic"}, RunTuned: E19MetroChurn, Tuning: &metroTuning},
+			Tags: []string{"metro", "analytic"}, Run: E19MetroChurn},
 		{Name: "e20", Desc: "E20: metro-100k — 10⁵ stations, 60 s, cache-resident kernel",
-			Tags: []string{"metro", "analytic", "scale"}, RunTuned: E20Metro100k, Tuning: &metroTuning},
+			Tags: []string{"metro", "analytic", "scale"}, Run: E20Metro100k},
 	}
 }
-
-// metroTuning is the kernel tuning for the metro family: the aggregated
-// processes keep only a handful of events pending, so the adaptive
-// WheelMinPending mode routes everything through the overflow heap and
-// never pays wheel maintenance. Tuning changes constant factors only,
-// never event order, so results are bit-identical to the default tuning.
-var metroTuning = sim.Tuning{TickShift: 0, WheelBits: 10, CompactMinDead: 64,
-	WheelMinPending: sim.WheelAdaptive}
 
 // metroDense is the shared dense-cell parameter set: 802.11b PSM stations
 // waking every 8th 100 ms beacon, 0.2 heavy-tailed downlink frames/s each.
@@ -54,12 +46,12 @@ func metroDense(stations, aps int, horizon sim.Time) metro.Config {
 	}
 }
 
-// runMetro executes a metro config under the given kernel tuning and
-// renders the sim-vs-closed-form comparison. The Values carry both sides
-// so the [analytic] agreement is asserted from recorded results (and
-// golden-pinned across kernels and backends).
-func runMetro(name, title string, seed int64, tun sim.Tuning, cfg metro.Config) Result {
-	s := sim.NewTuned(seed, tun)
+// runMetro executes a metro config and renders the sim-vs-closed-form
+// comparison. The Values carry both sides so the [analytic] agreement is
+// asserted from recorded results (and golden-pinned across kernels and
+// backends).
+func runMetro(name, title string, seed int64, cfg metro.Config) Result {
+	s := sim.New(seed)
 	m := metro.New(s, cfg)
 	m.Start()
 	s.RunUntil(cfg.Horizon)
@@ -114,31 +106,31 @@ func relPct(simV, modV float64) float64 {
 // E18MetroDense runs a dense metro cell cluster: 20k immortal stations on
 // 8 APs for 30 s — the smallest member of the family, also used as the CI
 // smoke scenario across execution backends.
-func E18MetroDense(seed int64, tun sim.Tuning) Result {
+func E18MetroDense(seed int64) Result {
 	return runMetro("e18-metro-dense",
 		"E18 — metro-dense: 20k PSM stations, 8 APs, 30 s",
-		seed, tun, metroDense(20_000, 8, 30*sim.Second))
+		seed, metroDense(20_000, 8, 30*sim.Second))
 }
 
 // E19MetroChurn adds association churn: an M/M/∞ population around 2000
 // stations (80 joins/s, 25 s mean lifetime) on a 4096-id space, checking
 // the swap-remove/attach-order machinery and the steady-state closed form.
-func E19MetroChurn(seed int64, tun sim.Tuning) Result {
+func E19MetroChurn(seed int64) Result {
 	cfg := metroDense(2000, 8, 30*sim.Second)
 	cfg.MaxStations = 4096
 	cfg.ArrivalRate = 80
 	cfg.MeanLifetime = 25 * sim.Second
 	return runMetro("e19-metro-churn",
 		"E19 — metro-churn: M/M/∞ population (n̄=2000, τ=25 s), 30 s",
-		seed, tun, cfg)
+		seed, cfg)
 }
 
 // E20Metro100k is the scale acceptance spec: 10⁵ stations on 20 APs for
 // 60 simulated seconds — ~7.5M TIM attendances and ~1.2M downlink frames
 // through a queue of four aggregated events, in seconds of wall time at
 // zero steady-state allocations.
-func E20Metro100k(seed int64, tun sim.Tuning) Result {
+func E20Metro100k(seed int64) Result {
 	return runMetro("e20-metro-100k",
 		"E20 — metro-100k: 10⁵ stations, 20 APs, 60 s",
-		seed, tun, metroDense(100_000, 20, 60*sim.Second))
+		seed, metroDense(100_000, 20, 60*sim.Second))
 }

@@ -19,31 +19,16 @@ import (
 	"repro/internal/stats"
 )
 
-// denseDCFTuning is the kernel tuning override for the contention-heavy
-// DCF experiments (e3–e5), chosen by measurement (best-of-5 ×
-// testing.Benchmark sweeps over heap-leaning, wheel-leaning and tick-width
-// variants; see BENCH_macro.json pr4-before/pr4-after). The ROADMAP's
-// guess that these sims wanted the wheel *off* was wrong — the pure-heap
-// sentinel (WheelMinPending 1<<20) ran e3/e5 ~5% slower. What actually
-// pays is engaging the wheel earlier and shrinking it: MinPending 4 routes
-// the short SIFS/DIFS/ACK chains into O(1) buckets even at the modest
-// queue depths a handful of stations produce, and 2^8 buckets (2 KB vs the
-// default 8 KB) keep the bucket array cache-resident. Measured: e5 (the
-// densest, ~60% of the trio’s wall clock) gains a consistent ~6%, e3/e4 parity within
-// noise. Tuning changes constant factors only, never event order, so the
-// seed-1 golden is untouched.
-var denseDCFTuning = sim.Tuning{TickShift: 0, WheelBits: 8, CompactMinDead: 64, WheelMinPending: 4}
-
 // surveyCatalogue lists this file's experiments: the Section 1 survey
 // claims about MAC, link and OS-level power management.
 func surveyCatalogue() []scenario.Spec {
 	return []scenario.Spec{
 		{Name: "e3", Desc: "E3: unmanaged WLAN listens ~90% of the time",
-			Tags: []string{"survey", "mac"}, RunTuned: E3ListenFraction, Tuning: &denseDCFTuning},
+			Tags: []string{"survey", "mac"}, Run: E3ListenFraction},
 		{Name: "e4", Desc: "E4: 802.11 PSM vs CAM across loads",
-			Tags: []string{"survey", "mac"}, RunTuned: E4PSMvsCAM, Tuning: &denseDCFTuning},
+			Tags: []string{"survey", "mac"}, Run: E4PSMvsCAM},
 		{Name: "e5", Desc: "E5: CAM vs PSM vs EC-MAC",
-			Tags: []string{"survey", "mac"}, RunTuned: E5MACComparison, Tuning: &denseDCFTuning},
+			Tags: []string{"survey", "mac"}, Run: E5MACComparison},
 		{Name: "e6", Desc: "E6: MAC-layer aggregation sweep",
 			Tags: []string{"survey", "mac"}, Run: E6Aggregation},
 		{Name: "e7", Desc: "E7: PAMAS overhearing avoidance + battery sleep",
@@ -62,8 +47,8 @@ func surveyCatalogue() []scenario.Spec {
 // E3ListenFraction verifies the paper's motivating claim: "WLANs spend as
 // much as 90% of their time listening", so transmit-power control alone
 // cannot save much.
-func E3ListenFraction(seed int64, tun sim.Tuning) Result {
-	s := sim.NewTuned(seed, tun)
+func E3ListenFraction(seed int64) Result {
+	s := sim.New(seed)
 	m := dcf.NewMedium(s, dcf.Default80211b(), nil)
 	ap := dcf.NewStation(frame.AP, m, radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle))
 	sta := dcf.NewStation(0, m, radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle))
@@ -94,14 +79,14 @@ func E3ListenFraction(seed int64, tun sim.Tuning) Result {
 
 // E4PSMvsCAM compares 802.11 power-save mode to continuously-active mode
 // across offered loads and beacon intervals.
-func E4PSMvsCAM(seed int64, tun sim.Tuning) Result {
+func E4PSMvsCAM(seed int64) Result {
 	t := stats.NewTable("E4 — 802.11 PSM vs CAM (client avg power, W)",
 		"load (pkt/s)", "CAM", "PSM bi=100ms", "PSM bi=300ms", "saving @100ms")
 	vals := map[string]float64{}
 	for _, load := range []float64{0.5, 2, 8} {
-		cam := runCAMClient(seed, tun, load, 40*sim.Second)
-		psm100 := runPSMClient(seed, tun, load, 100*sim.Millisecond, 40*sim.Second)
-		psm300 := runPSMClient(seed, tun, load, 300*sim.Millisecond, 40*sim.Second)
+		cam := runCAMClient(seed, load, 40*sim.Second)
+		psm100 := runPSMClient(seed, load, 100*sim.Millisecond, 40*sim.Second)
+		psm300 := runPSMClient(seed, load, 300*sim.Millisecond, 40*sim.Second)
 		saving := 1 - psm100/cam
 		t.AddRow(fmt.Sprintf("%.1f", load),
 			fmt.Sprintf("%.3f", cam), fmt.Sprintf("%.3f", psm100),
@@ -113,8 +98,8 @@ func E4PSMvsCAM(seed int64, tun sim.Tuning) Result {
 	return Result{Name: "e4-psm-vs-cam", Table: t.String(), Values: vals}
 }
 
-func runCAMClient(seed int64, tun sim.Tuning, pktPerSec float64, dur sim.Time) float64 {
-	s := sim.NewTuned(seed, tun)
+func runCAMClient(seed int64, pktPerSec float64, dur sim.Time) float64 {
+	s := sim.New(seed)
 	m := dcf.NewMedium(s, dcf.Default80211b(), nil)
 	apDev := radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle)
 	ap := psm.NewAP(s, m, apDev, psm.DefaultConfig())
@@ -126,8 +111,8 @@ func runCAMClient(seed int64, tun sim.Tuning, pktPerSec float64, dur sim.Time) f
 	return dev.Meter().AveragePower()
 }
 
-func runPSMClient(seed int64, tun sim.Tuning, pktPerSec float64, beacon sim.Time, dur sim.Time) float64 {
-	s := sim.NewTuned(seed, tun)
+func runPSMClient(seed int64, pktPerSec float64, beacon sim.Time, dur sim.Time) float64 {
+	s := sim.New(seed)
 	m := dcf.NewMedium(s, dcf.Default80211b(), nil)
 	cfg := psm.DefaultConfig()
 	cfg.BeaconInterval = beacon
@@ -144,15 +129,15 @@ func runPSMClient(seed int64, tun sim.Tuning, pktPerSec float64, beacon sim.Time
 // E5MACComparison pits CAM, 802.11 PSM and EC-MAC against the same downlink
 // load: EC-MAC's broadcast schedule eliminates contention and gives exact
 // doze windows.
-func E5MACComparison(seed int64, tun sim.Tuning) Result {
+func E5MACComparison(seed int64) Result {
 	const nSta = 4
 	const dur = 30 * sim.Second
 	loadBytes, loadEvery := 2000, 125*sim.Millisecond // 16 KB/s per station
 
-	camW, camColl := runDCFDownlink(seed, tun, nSta, loadBytes, loadEvery, dur, false)
-	psmW, psmColl := runDCFDownlink(seed, tun, nSta, loadBytes, loadEvery, dur, true)
+	camW, camColl := runDCFDownlink(seed, nSta, loadBytes, loadEvery, dur, false)
+	psmW, psmColl := runDCFDownlink(seed, nSta, loadBytes, loadEvery, dur, true)
 
-	s := sim.NewTuned(seed, tun)
+	s := sim.New(seed)
 	bs := radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle)
 	net := ecmac.NewNetwork(s, ecmac.DefaultConfig(), bs)
 	for i := 0; i < nSta; i++ {
@@ -183,8 +168,8 @@ func E5MACComparison(seed int64, tun sim.Tuning) Result {
 	}}
 }
 
-func runDCFDownlink(seed int64, tun sim.Tuning, n int, bytes int, every, dur sim.Time, ps bool) (float64, int) {
-	s := sim.NewTuned(seed, tun)
+func runDCFDownlink(seed int64, n int, bytes int, every, dur sim.Time, ps bool) (float64, int) {
+	s := sim.New(seed)
 	m := dcf.NewMedium(s, dcf.Default80211b(), nil)
 	apDev := radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle)
 	ap := psm.NewAP(s, m, apDev, psm.DefaultConfig())

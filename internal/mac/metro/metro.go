@@ -8,8 +8,8 @@
 //     beacon event, one aggregated Poisson downlink stream (rate n·λ,
 //     thinned uniformly over live stations) and one aggregated death
 //     process. The event queue holds a handful of events regardless of
-//     population size — exactly the sparse regime the kernel's adaptive
-//     WheelMinPending mode keeps off the timing wheel.
+//     population size — below the kernel's default WheelMinPending, so it
+//     never touches the timing wheel.
 //
 //   - Struct-of-arrays state: every per-station quantity is a column
 //     indexed by station id (pending frames, pending bytes, AP, listen

@@ -34,9 +34,9 @@ import (
 // run's — the cross-backend equivalence test pins exactly that.
 //
 // Kernel tuning (Spec.Tuning) is deliberately not part of the key: every
-// tuning produces the identical event order (the reference-model test
-// sweeps hostile tunings to prove it), so results cached under one tuning
-// are valid under any other.
+// tuning produces the identical event order (the kernel's reference-model
+// test sweeps hostile tunings to prove it), so a result never depends on
+// it.
 type Cache struct {
 	Inner Executor // backend that computes misses
 	Dir   string   // local cache root; the fallback when Addr is set

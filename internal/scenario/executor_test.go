@@ -159,12 +159,10 @@ func TestLocalSharedPoolAcrossRuns(t *testing.T) {
 // receives the spec's tuning override, or the default when none is set.
 func TestExecuteAppliesTuning(t *testing.T) {
 	var got sim.Tuning
-	spec := Spec{
-		Name: "test-tuned", Desc: "tuned",
-		RunTuned: func(seed int64, tun sim.Tuning) Result {
-			got = tun
-			return Result{Values: map[string]float64{"seed": float64(seed)}}
-		},
+	spec := Spec{Name: "test-tuned", Desc: "tuned"}
+	spec.RunTuned = func(seed int64, tun sim.Tuning) Result {
+		got = tun
+		return Result{Values: map[string]float64{"seed": float64(seed)}}
 	}
 	spec.Execute(1)
 	if got != sim.DefaultTuning() {

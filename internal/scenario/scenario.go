@@ -31,10 +31,10 @@ type Result struct {
 // identifier), a one-line description, classification tags used for
 // filtering, and the seeded run function that produces its Result.
 //
-// Exactly one of Run and RunTuned must be set. RunTuned is for experiments
-// whose event mix wants a non-default kernel tuning (sim.Tuning trades
-// only constant factors, never event order, so the override cannot change
-// results); the Tuning field supplies it and Execute threads it through.
+// Exactly one of Run and RunTuned must be set. Every registered experiment
+// uses Run on the default kernel; RunTuned and Tuning stay only until the
+// perfbench harness's spec wrapper stops naming them. Execute threads
+// Tuning (nil means sim.DefaultTuning) into RunTuned.
 //
 // Params is an optional canonical description of any runtime parameters
 // baked into the run closure (ad-hoc specs built from CLI flags set it;

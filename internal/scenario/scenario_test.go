@@ -117,11 +117,9 @@ func TestRegisterRejectsBadSpecs(t *testing.T) {
 	}
 	mustPanic("empty name", Spec{Run: func(int64) Result { return Result{} }})
 	mustPanic("nil run", Spec{Name: "test-nil-run"})
-	mustPanic("both run forms", Spec{
-		Name:     "test-both-runs",
-		Run:      func(int64) Result { return Result{} },
-		RunTuned: func(int64, sim.Tuning) Result { return Result{} },
-	})
+	both := Spec{Name: "test-both-runs", Run: func(int64) Result { return Result{} }}
+	both.RunTuned = func(int64, sim.Tuning) Result { return Result{} }
+	mustPanic("both run forms", both)
 	tun := sim.DefaultTuning()
 	mustPanic("tuning without RunTuned", Spec{
 		Name:   "test-tuning-plain-run",

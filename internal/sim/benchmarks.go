@@ -56,7 +56,7 @@ func KernelBenchmarks() []KernelBenchmark {
 		},
 		{
 			Name: "MetroDense",
-			Doc:  "metro mix under adaptive routing: a few aggregated streams, sparse queue",
+			Doc:  "metro mix: a few aggregated streams, sparse queue",
 			Run:  benchMetroDense,
 		},
 		{
@@ -192,14 +192,11 @@ func benchOverflowMigrate(n int) {
 
 // benchMetroDense runs the metro-scale event mix: a handful of aggregated
 // processes (downlink streams, a beacon, a slow scan) instead of per-station
-// timers, under the adaptive WheelMinPending mode. The queue holds ~4
-// events, so the adaptive depth filter keeps everything off the wheel and
+// timers. The queue holds ~4 events, below the default WheelMinPending, so
 // the kernel runs in its sparse heap regime — the shape 10⁵-station metro
 // scenarios put through it.
 func benchMetroDense(n int) {
-	tun := DefaultTuning()
-	tun.WheelMinPending = WheelAdaptive
-	s := NewTuned(1, tun)
+	s := New(1)
 	fired := 0
 	gaps := [4]Time{37, 53, 811, 100_000} // two downlink streams, a scan, a beacon
 	var fns [4]func()
@@ -223,9 +220,7 @@ func benchMetroDense(n int) {
 // update as the population shifts), alongside a downlink stream — the
 // schedule/cancel-heavy sparse pattern of a churning metro population.
 func benchMetroChurn(n int) {
-	tun := DefaultTuning()
-	tun.WheelMinPending = WheelAdaptive
-	s := NewTuned(1, tun)
+	s := New(1)
 	fired := 0
 	death := NewTimer(s, func() {})
 	var join func()

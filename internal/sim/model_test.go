@@ -23,16 +23,19 @@ type modelEvent struct {
 // non-default entries are chosen to be hostile to the timing wheel: a
 // 4-bucket wheel rotates constantly and pushes most events through the
 // overflow heap; coarse ticks force the intra-tick due heap to do real
-// ordering work; a tiny CompactMinDead makes compaction fire mid-run.
+// ordering work; a tiny CompactMinDead makes compaction fire mid-run; the
+// 2^14-bucket and 256 µs-tick shapes stretch the span far past the delays
+// the default geometry sees.
 func modelTunings() []Tuning {
 	return []Tuning{
 		DefaultTuning(),
-		{TickShift: 0, WheelBits: 2, CompactMinDead: 4},                                   // constant rotation + overflow
-		{TickShift: 3, WheelBits: 4, CompactMinDead: 8},                                   // coarse ticks, mid-run compaction
-		{TickShift: 5, WheelBits: 1, CompactMinDead: 64},                                  // 2-bucket wheel
-		{TickShift: 0, WheelBits: 10, CompactMinDead: 64, WheelMinPending: 1 << 20},       // routing off: pure heap mode
-		{TickShift: 0, WheelBits: 10, CompactMinDead: 64, WheelMinPending: WheelAdaptive}, // adaptive routing, default geometry
-		{TickShift: 3, WheelBits: 2, CompactMinDead: 4, WheelMinPending: WheelAdaptive},   // adaptive + constant rotation + compaction
+		{TickShift: 0, WheelBits: 2, CompactMinDead: 4},                             // constant rotation + overflow
+		{TickShift: 3, WheelBits: 4, CompactMinDead: 8},                             // coarse ticks, mid-run compaction
+		{TickShift: 5, WheelBits: 1, CompactMinDead: 64},                            // 2-bucket wheel
+		{TickShift: 0, WheelBits: 8, CompactMinDead: 64},                            // small wheel, always routed to it
+		{TickShift: 0, WheelBits: 14, CompactMinDead: 64},                           // large wheel: 16 ms exact-tick span
+		{TickShift: 8, WheelBits: 8, CompactMinDead: 64},                            // 256 µs ticks: deep intra-tick ordering
+		{TickShift: 0, WheelBits: 10, CompactMinDead: 64, WheelMinPending: 1 << 20}, // routing off: pure heap mode
 	}
 }
 
@@ -178,5 +181,36 @@ func runModelTrial(t *testing.T, tun Tuning, span, trial int) {
 	}
 	if s.Pending() != 0 {
 		t.Fatalf("trial %d: %d events still pending after full drain", trial, s.Pending())
+	}
+}
+
+// cornerTunings are the extreme wheel shapes: the smallest and largest
+// wheel, the coarsest tick, the default geometry and routing switched off
+// entirely (pure heap). A wheel-ordering bug is most likely to hide here.
+func cornerTunings() []Tuning {
+	pureHeap := DefaultTuning()
+	pureHeap.WheelMinPending = 1 << 20
+	return []Tuning{
+		{TickShift: 0, WheelBits: 8, CompactMinDead: 64},
+		{TickShift: 0, WheelBits: 14, CompactMinDead: 64},
+		DefaultTuning(),
+		{TickShift: 8, WheelBits: 8, CompactMinDead: 64},
+		pureHeap,
+	}
+}
+
+// TestRandomInterleavingCornerTunings checks the corner shapes against the
+// same reference model as TestRandomInterleavingMatchesModel, on 60 further
+// interleavings (trial seeds 100-159) that the model sweep does not draw.
+func TestRandomInterleavingCornerTunings(t *testing.T) {
+	for _, tun := range cornerTunings() {
+		tun := tun
+		name := fmt.Sprintf("ts%d-wb%d-cd%d-wmp%d", tun.TickShift, tun.WheelBits, tun.CompactMinDead, tun.WheelMinPending)
+		t.Run(name, func(t *testing.T) {
+			span := int(1) << (tun.TickShift + tun.WheelBits)
+			for trial := 100; trial < 160; trial++ {
+				runModelTrial(t, tun, span, trial)
+			}
+		})
 	}
 }

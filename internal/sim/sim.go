@@ -119,11 +119,12 @@ type bucketRef struct {
 	head, tail int32 // slab index + 1; 0 = empty
 }
 
-// Tuning exposes the kernel's performance knobs. The defaults are what the
-// committed BENCH_kernel.json numbers were measured at; see EXPERIMENTS.md
-// ("Kernel tuning knobs") for how to choose other values. Every tuning
-// produces the identical event order — these knobs trade memory for speed,
-// never determinism.
+// Tuning exposes the kernel's performance knobs. Every experiment runs at
+// DefaultTuning (via New); the other values exist so the kernel's tests
+// and benchmarks can drive hostile wheel geometries through NewTuned (see
+// EXPERIMENTS.md, "Kernel tuning knobs"). Every tuning produces the
+// identical event order — these knobs trade memory for speed, never
+// determinism.
 type Tuning struct {
 	// TickShift is log2 of the wheel tick in microseconds: events whose
 	// firing tick (at >> TickShift) is within the wheel span go into O(1)
@@ -149,27 +150,8 @@ type Tuning struct {
 	// wheel's O(1) buckets win once many short timers are in flight.
 	// Routing is a pure policy choice — pop order is enforced against
 	// every structure, so any value produces the identical simulation.
-	//
-	// The sentinel WheelAdaptive selects adaptive routing: the kernel
-	// tracks a decaying filter of the queue depth and engages the wheel
-	// only when the depth is *sustained* above the default threshold.
-	// Workloads that alternate sparse phases (a handful of aggregated
-	// process events) with dense bursts skip all wheel maintenance in the
-	// sparse phases without being flipped into wheel mode by a lone
-	// burst, and without the caller having to guess a fixed threshold.
 	WheelMinPending int
 }
-
-// WheelAdaptive is the WheelMinPending sentinel that turns on adaptive
-// wheel routing. Like every tuning value it changes constant factors only:
-// pop order is enforced against all structures, so the adaptive and any
-// fixed setting produce bit-identical simulations.
-const WheelAdaptive = -1
-
-// adaptiveFiltShift is the decay of the adaptive depth filter: on every
-// near-future insert the filter moves 1/8th of the way toward the current
-// queue depth, so roughly the last two dozen inserts dominate it.
-const adaptiveFiltShift = 3
 
 // DefaultTuning returns the tuning the kernel benchmarks are recorded at.
 func DefaultTuning() Tuning {
@@ -187,8 +169,8 @@ func (t Tuning) Validate() error {
 	if t.CompactMinDead < 1 {
 		return fmt.Errorf("sim: CompactMinDead must be positive")
 	}
-	if t.WheelMinPending < 0 && t.WheelMinPending != WheelAdaptive {
-		return fmt.Errorf("sim: WheelMinPending must be non-negative or WheelAdaptive")
+	if t.WheelMinPending < 0 {
+		return fmt.Errorf("sim: WheelMinPending must be non-negative")
 	}
 	return nil
 }
@@ -243,8 +225,6 @@ type Simulator struct {
 	mask            int64 // size - 1
 	compactMinDead  int
 	wheelMinPending int
-	adaptive        bool // WheelAdaptive routing: threshold on filtered depth
-	depthFilt       int  // decaying depth filter ≈ 2^adaptiveFiltShift × depth
 
 	dead    int // cancelled entries still sitting in due/wheel/overflow
 	seq     uint64
@@ -266,12 +246,6 @@ func NewTuned(seed int64, t Tuning) *Simulator {
 		panic(err)
 	}
 	size := int64(1) << t.WheelBits
-	minPending, adaptive := t.WheelMinPending, false
-	if minPending == WheelAdaptive {
-		// Adaptive routing compares the depth filter against the default
-		// threshold instead of the instantaneous depth.
-		minPending, adaptive = DefaultTuning().WheelMinPending, true
-	}
 	// The bucket array and bitmap are allocated on the first near-future
 	// insert: sparse workloads whose events all live beyond the wheel span
 	// run pure heap and never pay for the wheel.
@@ -282,8 +256,7 @@ func NewTuned(seed int64, t Tuning) *Simulator {
 		tickShift:       t.TickShift,
 		mask:            size - 1,
 		compactMinDead:  t.CompactMinDead,
-		wheelMinPending: minPending,
-		adaptive:        adaptive,
+		wheelMinPending: t.WheelMinPending,
 	}
 }
 
@@ -405,17 +378,8 @@ func (s *Simulator) push(en heapEntry) {
 		if s.nWheel == 0 {
 			// Sparse queue: the plain heap is cache-tighter than the
 			// bucket array. Routing is policy only — order is enforced
-			// at pop time against every structure. In adaptive mode the
-			// threshold tests a decaying depth filter instead of the
-			// instantaneous depth, so sparse phases skip all wheel
-			// maintenance even across short bursts, and sustained dense
-			// phases engage the wheel and stay on it.
-			depth := len(s.overflow) + len(s.due)
-			if s.adaptive {
-				s.depthFilt += depth - s.depthFilt>>adaptiveFiltShift
-				depth = s.depthFilt >> adaptiveFiltShift
-			}
-			if depth < s.wheelMinPending {
+			// at pop time against every structure.
+			if len(s.overflow)+len(s.due) < s.wheelMinPending {
 				s.heapPush(&s.overflow, en)
 				return
 			}

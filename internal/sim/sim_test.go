@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -33,6 +34,8 @@ func TestTimeString(t *testing.T) {
 		{3 * Second, "3.000s"},
 		{90 * Second, "90.0s"},
 		{MaxTime, "+inf"},
+		{Time(math.MinInt64), "-inf"}, // -t == t: must not recurse
+		{-3 * Second, "-3.000s"},
 	}
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {

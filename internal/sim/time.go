@@ -6,7 +6,10 @@
 // exact and runs are bit-reproducible for a given seed.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Time is a simulated instant or duration, measured in microseconds from the
 // start of the simulation. Using an integer representation keeps event
@@ -49,6 +52,10 @@ func (t Time) String() string {
 	switch {
 	case t == MaxTime:
 		return "+inf"
+	case t == math.MinInt64:
+		// -t overflows back to t; the overflowed result of converting a
+		// NaN or out-of-range float (FromSeconds) lands here.
+		return "-inf"
 	case t < 0:
 		return fmt.Sprintf("-%s", -t)
 	case t < Millisecond:
