@@ -2,7 +2,7 @@
 // power-save stations — 10⁵–10⁶ clients across many APs in one process —
 // at event and memory costs per station low enough to run on one core.
 //
-// Two structural decisions buy the scale:
+// Three structural decisions buy the scale:
 //
 //   - Aggregation: instead of per-station timers, the model runs one global
 //     beacon event, one aggregated Poisson downlink stream (rate n·λ,
@@ -11,18 +11,22 @@
 //     population size — below the kernel's default WheelMinPending, so it
 //     never touches the timing wheel.
 //
-//   - Struct-of-arrays state: every per-station quantity is a column
-//     indexed by station id (pending frames, pending bytes, AP, listen
-//     phase, accounting watermark), not a struct per station. Beacon
-//     processing walks stations of one listen phase sequentially through
-//     dense arrays; churn recycles ids with O(1) row resets.
+//   - Cache-resident state: what a beacon touches for a station (its
+//     power.Account, accounting watermark and buffered frames) is one row,
+//     and initial ids are group-major, so one (AP, listen phase) group's
+//     rows are adjacent. The rest lives in cold columns indexed by the
+//     same id. Churn recycles ids LIFO with O(1) row resets.
+//
+//   - Batched downlink draws: one event applies every arrival before the
+//     model's next own event (beacon, join or death) and queues only the
+//     first arrival past it, which needs the model to own its simulator.
 //
 // The PSM semantics follow the paper's legacy-PSM model: a station sleeps
 // between beacons, wakes every ListenInterval-th beacon a WakeLead early,
 // receives the beacon, and if the TIM announces buffered frames it stays
 // awake, waits for the stations polled before it (attach order within its
-// AP), then PS-Polls each frame and receives it. Everything is charged to a
-// power.Ledger against the radio profile's calibration.
+// AP), then PS-Polls each frame and receives it. Everything is charged to
+// the station's power.Account against the radio profile's calibration.
 //
 // Every aggregate the simulation produces has a closed-form expectation in
 // the style of Agrawal et al.'s analytical PSM energy models; see
@@ -80,8 +84,8 @@ type Config struct {
 
 	// MaxStations caps the id space under churn (0 = Stations). The
 	// aggregated arrival/death processes are thinned against this cap, so
-	// it also bounds memory: every column is allocated to MaxStations once,
-	// up front.
+	// it also bounds memory: every row and column is allocated to
+	// MaxStations once, up front.
 	MaxStations int
 
 	BeaconInterval sim.Time
@@ -121,10 +125,15 @@ func (c Config) Validate() error {
 		return fmt.Errorf("metro: Stations %d outside [0, MaxStations %d]", c.Stations, c.cap())
 	case c.BeaconInterval <= 0 || c.ListenInterval <= 0:
 		return fmt.Errorf("metro: beacon/listen intervals must be positive")
-	case c.RatePerStation < 0:
-		return fmt.Errorf("metro: negative traffic rate")
-	case c.Frame.Alpha <= 0 || c.Frame.Alpha == 1 || c.Frame.MinBytes <= 0 || c.Frame.MaxBytes <= c.Frame.MinBytes:
-		return fmt.Errorf("metro: bounded Pareto needs 0<alpha≠1 and 0<min<max")
+	case c.WakeLead < 0 || c.BeaconAir < 0 || c.PollAir < 0 || c.OverheadBytes < 0:
+		return fmt.Errorf("metro: negative wake lead, airtime or frame overhead")
+	case !finiteNonNeg(c.RatePerStation):
+		return fmt.Errorf("metro: traffic rate %g is not a finite non-negative number", c.RatePerStation)
+	case !finiteNonNeg(c.Frame.Alpha) || !finiteNonNeg(c.Frame.MinBytes) || !finiteNonNeg(c.Frame.MaxBytes) ||
+		c.Frame.Alpha == 0 || c.Frame.Alpha == 1 || c.Frame.MinBytes == 0 || c.Frame.MaxBytes <= c.Frame.MinBytes:
+		return fmt.Errorf("metro: bounded Pareto needs finite 0<alpha≠1 and 0<min<max")
+	case !finiteNonNeg(c.ArrivalRate):
+		return fmt.Errorf("metro: arrival rate %g is not a finite non-negative number", c.ArrivalRate)
 	case c.ArrivalRate > 0 && c.MeanLifetime <= 0:
 		return fmt.Errorf("metro: churn needs a positive MeanLifetime")
 	case c.Horizon <= 0:
@@ -134,6 +143,9 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// finiteNonNeg reports whether x is a number in [0, +Inf).
+func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // Report carries a run's aggregates.
 type Report struct {
@@ -153,17 +165,21 @@ type Report struct {
 // Model is one metro population wired into a simulator. New builds it,
 // Start arms the aggregated processes, and Finish (after running the
 // simulator to the horizon) closes the books and returns the Report.
+//
+// A Model owns its simulator: after Start nothing else may schedule events
+// on it or draw from its Rand, because the downlink stream draws arrivals
+// ahead of the clock up to the model's next own event.
 type Model struct {
 	cfg Config
 	s   *sim.Simulator
-	led *power.Ledger
 
-	// Per-station columns, indexed by station id ∈ [0, cap).
-	apOf       []int32
-	phaseOf    []int32
-	pendFrames []int32
-	pendBytes  []float64
-	accounted  []sim.Time // time up to which the ledger row is charged
+	// st is the hot per-station row, indexed by station id ∈ [0, cap).
+	// The initial population is laid out group-major (see New), so a
+	// beacon walks adjacent rows.
+	st []station
+
+	// Cold per-station columns, indexed by station id.
+	groupOf    []int32 // ap·K + phase
 	attachedAt []sim.Time
 	livePos    []int32 // index into live, -1 when dead
 
@@ -179,7 +195,21 @@ type Model struct {
 	attachSeq int   // drives the ap/phase assignment lattice
 	beaconIdx int64 // beacons fired so far
 
+	// The model's own pending events, MaxTime when none is scheduled: the
+	// downlink stream batches arrivals up to the earliest of them.
+	nextBeacon, nextJoin, nextDeath sim.Time
+
 	rep Report
+}
+
+// station is the state a beacon touches for one station: its energy
+// account, the time up to which that account is charged, and the downlink
+// frames buffered for it at its AP.
+type station struct {
+	acct       power.Account
+	accounted  sim.Time
+	pendBytes  float64
+	pendFrames int32
 }
 
 // Run executes the configuration on a fresh default-tuned simulator — the
@@ -193,8 +223,8 @@ func Run(seed int64, cfg Config) Report {
 	return m.Finish()
 }
 
-// New builds the population and allocates every column up front: after
-// Start, the steady state performs no allocations.
+// New builds the population and allocates every row and column up front:
+// after Start, the steady state performs no allocations.
 func New(s *sim.Simulator, cfg Config) *Model {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -203,17 +233,13 @@ func New(s *sim.Simulator, cfg Config) *Model {
 	m := &Model{
 		cfg:        cfg,
 		s:          s,
-		led:        power.NewLedger(cfg.Profile, n),
-		apOf:       make([]int32, n),
-		phaseOf:    make([]int32, n),
-		pendFrames: make([]int32, n),
-		pendBytes:  make([]float64, n),
-		accounted:  make([]sim.Time, n),
+		st:         make([]station, n),
+		groupOf:    make([]int32, n),
 		attachedAt: make([]sim.Time, n),
 		livePos:    make([]int32, n),
 		groupPos:   make([]int32, n),
 		live:       make([]int32, 0, n),
-		freeIDs:    make([]int32, 0, n),
+		freeIDs:    make([]int32, n),
 		groups:     make([][]int32, cfg.APs*cfg.ListenInterval),
 	}
 	// Group capacity covers the whole population landing in one group, so
@@ -226,35 +252,53 @@ func New(s *sim.Simulator, cfg Config) *Model {
 	for i := range m.groups {
 		m.groups[i] = make([]int32, 0, per)
 	}
-	for id := n - 1; id >= 0; id-- {
+	for id := range n {
 		m.livePos[id] = -1
-		m.freeIDs = append(m.freeIDs, int32(id))
+		m.freeIDs[id] = int32(n - 1 - id) // ids past the initial population pop ascending
 	}
-	for i := 0; i < cfg.Stations; i++ {
+	// Group-major ids: the seq-th initial attach pops the next id of its
+	// group's contiguous range. Ids are storage slots only; live, group and
+	// summation orders follow attach order whatever the ids.
+	next := make([]int32, len(m.groups)) // group sizes, then next free id
+	for seq := range cfg.Stations {
+		next[m.group(seq)]++
+	}
+	var off int32
+	for g, size := range next {
+		next[g], off = off, off+size
+	}
+	for seq := range cfg.Stations {
+		g := m.group(seq)
+		m.freeIDs[n-1-seq], next[g] = next[g], next[g]+1
+	}
+	for range cfg.Stations {
 		m.attach()
 	}
 	return m
 }
 
-// attach brings one station online: recycle an id, reset its rows, assign
-// it a (ap, phase) cell from the round-robin lattice, and append it to its
-// group in attach order.
+// group returns the ap·K+phase cell the seq-th attach lands in: APs
+// round-robin, then listen phases.
+func (m *Model) group(seq int) int {
+	ap := seq % m.cfg.APs
+	phase := seq / m.cfg.APs % m.cfg.ListenInterval
+	return ap*m.cfg.ListenInterval + phase
+}
+
+// attach brings one station online: recycle an id, reset its row, assign
+// it a group from the round-robin lattice, and append it to that group in
+// attach order.
 func (m *Model) attach() {
 	id := m.freeIDs[len(m.freeIDs)-1]
 	m.freeIDs = m.freeIDs[:len(m.freeIDs)-1]
-	k := m.cfg.ListenInterval
-	ap := int32(m.attachSeq % m.cfg.APs)
-	phase := int32(m.attachSeq / m.cfg.APs % k)
+	g := m.group(m.attachSeq)
 	m.attachSeq++
 
-	m.led.Reset(id)
-	m.apOf[id], m.phaseOf[id] = ap, phase
-	m.pendFrames[id], m.pendBytes[id] = 0, 0
 	now := m.s.Now()
-	m.accounted[id], m.attachedAt[id] = now, now
+	m.st[id] = station{accounted: now}
+	m.groupOf[id], m.attachedAt[id] = int32(g), now
 	m.livePos[id] = int32(len(m.live))
 	m.live = append(m.live, id)
-	g := int(ap)*k + int(phase)
 	m.groupPos[id] = int32(len(m.groups[g]))
 	m.groups[g] = append(m.groups[g], id)
 }
@@ -265,10 +309,11 @@ func (m *Model) attach() {
 // service order invariant — so it shifts the tail down one slot.
 func (m *Model) detach(id int32) {
 	now := m.s.Now()
-	if d := now - m.accounted[id]; d > 0 {
-		m.led.Dwell(id, radio.Sleep, d)
+	st := &m.st[id]
+	if d := now - st.accounted; d > 0 {
+		st.acct.Dwell(radio.Sleep, d)
 	}
-	m.rep.EnergyJ += m.led.EnergyJ(id)
+	m.rep.EnergyJ += st.acct.EnergyJ(m.cfg.Profile)
 	m.rep.StationSec += (now - m.attachedAt[id]).Seconds()
 
 	last := int32(len(m.live) - 1)
@@ -280,7 +325,7 @@ func (m *Model) detach(id int32) {
 	m.live = m.live[:last]
 	m.livePos[id] = -1
 
-	g := int(m.apOf[id])*m.cfg.ListenInterval + int(m.phaseOf[id])
+	g := m.groupOf[id]
 	grp := m.groups[g]
 	p := m.groupPos[id]
 	copy(grp[p:], grp[p+1:])
@@ -302,38 +347,59 @@ func (m *Model) frameAir(frames int32, bytes float64) sim.Time {
 
 // Start arms the aggregated processes: the beacon, the downlink stream and
 // (under churn) the station arrival and death streams. The pending-event
-// count stays at 3–4 for any population size.
+// count stays at 2–4 for any population size. The simulator must have no
+// events pending: the model owns it from here on.
 func (m *Model) Start() {
+	if n := m.s.Pending(); n != 0 {
+		panic(fmt.Sprintf("metro: Start on a simulator with %d events pending; the model must own its simulator", n))
+	}
 	cfg := m.cfg
 	m.s.Reserve(4)
+	m.nextJoin, m.nextDeath = sim.MaxTime, sim.MaxTime
 
 	var onBeacon func()
 	onBeacon = func() {
 		m.beacon()
-		if m.s.Now()+cfg.BeaconInterval <= cfg.Horizon {
-			m.s.Schedule(cfg.BeaconInterval, onBeacon)
+		m.nextBeacon = sim.MaxTime
+		if m.s.Now() <= cfg.Horizon-cfg.BeaconInterval {
+			m.nextBeacon = m.s.Now() + cfg.BeaconInterval
+			m.s.At(m.nextBeacon, onBeacon)
 		}
 	}
-	m.s.Schedule(cfg.BeaconInterval, onBeacon)
+	now := m.s.Now()
+	m.nextBeacon = now + cfg.BeaconInterval
+	m.s.At(m.nextBeacon, onBeacon)
 
 	if cfg.RatePerStation > 0 {
 		// The downlink stream runs at the cap's aggregate rate and thins:
 		// the drawn slot is accepted only if it indexes a live station, so
 		// the accepted process is exactly Poisson(n·λ) with a uniform
 		// station mark, at any live count n.
+		//
+		// Arrivals before the next own event are applied in one loop: the
+		// same draws in the same order as one event each. On a tie the
+		// kernel's (at, seq) order decides, as it would have.
 		maxRate := float64(cfg.cap()) * cfg.RatePerStation
 		frame := cfg.Frame.inverse()
 		r := m.s.Rand()
 		var onFrame func()
 		onFrame = func() {
-			if j := r.Intn(cfg.cap()); j < len(m.live) {
-				id := m.live[j]
-				m.pendFrames[id]++
-				m.pendBytes[id] += frame.at(r.Float64())
+			stop := min(m.nextBeacon, m.nextJoin, m.nextDeath)
+			t := m.s.Now()
+			for {
+				if j := r.Intn(cfg.cap()); j < len(m.live) {
+					st := &m.st[m.live[j]]
+					st.pendFrames++
+					st.pendBytes += frame.at(r.Float64())
+				}
+				t = after(t, r.ExpFloat64(), maxRate)
+				if t >= stop || t > cfg.Horizon {
+					break
+				}
 			}
-			m.s.Schedule(expDelay(r.ExpFloat64(), maxRate), onFrame)
+			m.s.At(t, onFrame)
 		}
-		m.s.Schedule(expDelay(r.ExpFloat64(), maxRate), onFrame)
+		m.s.At(after(now, r.ExpFloat64(), maxRate), onFrame)
 	}
 
 	if cfg.ArrivalRate > 0 {
@@ -344,9 +410,11 @@ func (m *Model) Start() {
 				m.attach()
 				m.rep.Arrivals++
 			}
-			m.s.Schedule(expDelay(r.ExpFloat64(), cfg.ArrivalRate), onJoin)
+			m.nextJoin = after(m.s.Now(), r.ExpFloat64(), cfg.ArrivalRate)
+			m.s.At(m.nextJoin, onJoin)
 		}
-		m.s.Schedule(expDelay(r.ExpFloat64(), cfg.ArrivalRate), onJoin)
+		m.nextJoin = after(now, r.ExpFloat64(), cfg.ArrivalRate)
+		m.s.At(m.nextJoin, onJoin)
 
 		// Deaths: each live station dies at rate 1/τ, so the population's
 		// death process runs at n/τ — thinned against cap/τ like the
@@ -358,58 +426,66 @@ func (m *Model) Start() {
 				m.detach(m.live[j])
 				m.rep.Departures++
 			}
-			m.s.Schedule(expDelay(r.ExpFloat64(), maxDeath), onDeath)
+			m.nextDeath = after(m.s.Now(), r.ExpFloat64(), maxDeath)
+			m.s.At(m.nextDeath, onDeath)
 		}
-		m.s.Schedule(expDelay(r.ExpFloat64(), maxDeath), onDeath)
+		m.nextDeath = after(now, r.ExpFloat64(), maxDeath)
+		m.s.At(m.nextDeath, onDeath)
 	}
 }
 
-// expDelay converts a unit-mean exponential draw into a sim.Time gap for a
-// process of the given rate, at least 1 time unit so the process always
-// advances the clock.
-func expDelay(unit, rate float64) sim.Time {
-	d := sim.FromSeconds(unit / rate)
-	if d < 1 {
-		d = 1
+// after returns the arrival following t of a process of the given rate,
+// from a unit-mean exponential draw: at least one time unit later, so the
+// process always advances the clock, and MaxTime — never reached — when
+// the gap runs past the end of representable time.
+func after(t sim.Time, unit, rate float64) sim.Time {
+	gap := unit / rate
+	if !(gap < 9e12) { // seconds; FromSeconds overflows near 9.2e12
+		return sim.MaxTime
 	}
-	return d
+	if d := max(sim.FromSeconds(gap), 1); d <= sim.MaxTime-t {
+		return t + d
+	}
+	return sim.MaxTime
 }
 
 // beacon serves one TBTT: stations of the due listen phase, AP by AP in
 // attach order. Stations with no buffered frames hear the beacon and sleep
 // again; stations with frames wait out the polls ahead of them, then
-// PS-Poll each frame. All dwell is charged to the ledger here, including
-// the sleep stretch since the station's previous accounting watermark.
+// PS-Poll each frame. All dwell is charged to the station's account here,
+// including the sleep stretch since its previous accounting watermark.
 func (m *Model) beacon() {
 	m.beaconIdx++
 	cfg := m.cfg
+	p := cfg.Profile
 	k := cfg.ListenInterval
 	phase := int(m.beaconIdx % int64(k))
 	t := m.s.Now()
 	for ap := 0; ap < cfg.APs; ap++ {
 		var cum sim.Time // polls served so far in this AP's beacon
 		for _, id := range m.groups[ap*k+phase] {
-			if d := t - cfg.WakeLead - m.accounted[id]; d > 0 {
-				m.led.Dwell(id, radio.Sleep, d)
+			st := &m.st[id]
+			if d := t - cfg.WakeLead - st.accounted; d > 0 {
+				st.acct.Dwell(radio.Sleep, d)
 			}
-			m.led.Transition(id, radio.Sleep, radio.Idle)
-			m.led.Dwell(id, radio.Idle, cfg.WakeLead)
-			m.led.Dwell(id, radio.RX, cfg.BeaconAir)
+			st.acct.Transition(p, radio.Sleep, radio.Idle)
+			st.acct.Dwell(radio.Idle, cfg.WakeLead)
+			st.acct.Dwell(radio.RX, cfg.BeaconAir)
 			end := t + cfg.BeaconAir
-			if f := m.pendFrames[id]; f > 0 {
-				m.led.Dwell(id, radio.Idle, cum) // wait for earlier polls
+			if f := st.pendFrames; f > 0 {
+				st.acct.Dwell(radio.Idle, cum) // wait for earlier polls
 				tx := sim.Time(f) * cfg.PollAir
-				rx := m.frameAir(f, m.pendBytes[id])
-				m.led.Dwell(id, radio.TX, tx)
-				m.led.Dwell(id, radio.RX, rx)
+				rx := m.frameAir(f, st.pendBytes)
+				st.acct.Dwell(radio.TX, tx)
+				st.acct.Dwell(radio.RX, rx)
 				end += cum + tx + rx
 				cum += tx + rx
-				m.rep.DeliveredBytes += m.pendBytes[id]
+				m.rep.DeliveredBytes += st.pendBytes
 				m.rep.DeliveredFrames += int64(f)
-				m.pendFrames[id], m.pendBytes[id] = 0, 0
+				st.pendFrames, st.pendBytes = 0, 0
 			}
-			m.led.Transition(id, radio.Idle, radio.Sleep)
-			m.accounted[id] = end
+			st.acct.Transition(p, radio.Idle, radio.Sleep)
+			st.accounted = end
 			m.rep.AttendedBeacons++
 		}
 	}
@@ -420,11 +496,12 @@ func (m *Model) beacon() {
 func (m *Model) Finish() Report {
 	now := m.s.Now()
 	for _, id := range m.live {
-		if d := now - m.accounted[id]; d > 0 {
-			m.led.Dwell(id, radio.Sleep, d)
-			m.accounted[id] = now
+		st := &m.st[id]
+		if d := now - st.accounted; d > 0 {
+			st.acct.Dwell(radio.Sleep, d)
+			st.accounted = now
 		}
-		m.rep.EnergyJ += m.led.EnergyJ(id)
+		m.rep.EnergyJ += st.acct.EnergyJ(m.cfg.Profile)
 		m.rep.StationSec += (now - m.attachedAt[id]).Seconds()
 	}
 	m.rep.Live = len(m.live)

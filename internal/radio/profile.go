@@ -52,9 +52,8 @@ func (s State) String() string {
 func States() []State { return []State{Off, Sleep, Idle, RX, TX} }
 
 // NumStates is the number of modelled power states, exported so other
-// packages can size per-state accounting arrays (struct-of-arrays
-// time-in-state ledgers and the like) without a map or a slice header per
-// station.
+// packages can size per-state accounting arrays (power.Account's dwell
+// times and the like) without a map or a slice header per station.
 const NumStates = int(numStates)
 
 // Transition describes the cost of moving between two power states.
